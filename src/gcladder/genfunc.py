@@ -29,12 +29,12 @@ from itertools import product
 
 from .words import (
     all_words,
+    child_composition,
     d_transform,
     interleave,
     r_transform,
     reduce_composition,
     word_tilde,
-    word_transforms,  # noqa: F401  (part of this module's public surface)
     word_weight,
 )
 
@@ -150,7 +150,7 @@ def _f_polynomial_reduced(comp):
         return TPoly.ONE
     acc = TPoly.ZERO
     for w in all_words(len(comp) - 1):
-        child = reduce_composition(interleave(r_transform(comp, w), word_tilde(w)))
+        child = child_composition(comp, w)
         acc = acc + _f_polynomial_reduced(child).shift(word_weight(w))
     return acc
 

@@ -1,137 +1,35 @@
-"""Subset-filter kernels backing the brute-force face oracle.
+"""Subset-filter kernel backing the brute-force face oracle.
 
 Scanning all 2^|E| edge subsets of a diagram is the one hot numeric loop in
 the package (about a million subsets for the largest diagrams the oracle
-accepts).  Two interchangeable backends implement the same scan:
-
-* ``numba``  - a jitted per-subset loop using 64-bit vertex bitsets;
-* ``numpy``  - a vectorized fallback that processes subsets in batches.
-
-Selection: the ``GCLADDER_KERNEL`` environment variable ("numba" or
-"numpy"), defaulting to numba when importable.  numba is optional (the
-``numba`` extra): without it the default is numpy, the numba backend is not
-offered, and an explicit request for it is refused with ``ValueError``
-rather than served by the numpy scan, so a timing never names the wrong
-backend.  ``gcladder bench`` times every available backend on the same
-diagram.
+accepts).  The scan is vectorized with numpy: subsets are processed in
+batches, each batch as one bit-matrix per vertex for forward and backward
+reachability.
 
 Everything else in the package is exact rational or big-integer arithmetic
 and stays in plain Python.
 """
 
-import os
-import time
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; the numpy scan needs only numpy
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+# Subsets per batch; bounds the size of the per-vertex reachability rows.
+_BATCH = 1 << 16
 
 
-ENV_VAR = "GCLADDER_KERNEL"
-_BACKENDS = ("numba", "numpy")
-
-
-def default_backend():
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_backend(backend=None):
-    """Pick the scan backend: explicit argument, else env var, else default.
-
-    Raises ``ValueError`` for a backend that cannot run here: an unknown
-    name, or ``numba`` when numba is not importable.
-    """
-    choice = backend or os.environ.get(ENV_VAR) or default_backend()
-    if choice not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {choice!r}; use one of {_BACKENDS}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise ValueError(
-            "numba backend requested but numba is not importable; use 'numpy'"
-        )
-    return choice
-
-
-def _scan_tables(diagram):
+def accepted_face_masks(diagram):
+    """Sorted masks of all face subsets of the diagram's edge set."""
+    if diagram.num_edges == 0:
+        return np.zeros(1, np.int64)
     tails = np.asarray(diagram.edge_tails, dtype=np.int64)
     heads = np.asarray(diagram.edge_heads, dtype=np.int64)
     topo = np.asarray(diagram.edges_topo, dtype=np.int64)
     term_in = np.asarray(diagram.terminal_in_masks, dtype=np.int64)
-    term_bits = 0
-    for t in diagram.terminal_indices:
-        term_bits |= 1 << t
-    return tails, heads, topo, term_in, term_bits
-
-
-@njit(cache=True)
-def _scan_njit(n_edges, tails, heads, topo, origin, term_bits, term_in, out):
-    count = 0
-    total = 1 << n_edges
-    for mask in range(total):
-        ok = True
-        for i in range(term_in.shape[0]):
-            if mask & term_in[i] == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        fwd = 1 << origin
-        for j in range(n_edges):
-            e = topo[j]
-            if (mask >> e) & 1 != 0 and (fwd >> tails[e]) & 1 != 0:
-                fwd |= 1 << heads[e]
-        bwd = term_bits
-        for j in range(n_edges - 1, -1, -1):
-            e = topo[j]
-            if (mask >> e) & 1 != 0 and (bwd >> heads[e]) & 1 != 0:
-                bwd |= 1 << tails[e]
-        for e in range(n_edges):
-            if (mask >> e) & 1 != 0:
-                if (fwd >> tails[e]) & 1 == 0 or (bwd >> heads[e]) & 1 == 0:
-                    ok = False
-                    break
-        if ok:
-            if count < out.shape[0]:
-                out[count] = mask
-            count += 1
-    return count
-
-
-def _accepted_numba(diagram):
-    tails, heads, topo, term_in, term_bits = _scan_tables(diagram)
-    n_edges = diagram.num_edges
-    origin = diagram.origin_index
-    # Single pass into a generous buffer; rescan with the exact size in the
-    # unlikely event the face count exceeds it.
-    out = np.empty(1 << min(n_edges, 18), np.int64)
-    count = _scan_njit(
-        n_edges, tails, heads, topo, origin, term_bits, term_in, out
-    )
-    if count > out.shape[0]:
-        out = np.empty(count, np.int64)
-        _scan_njit(n_edges, tails, heads, topo, origin, term_bits, term_in, out)
-    return out[:count]
-
-
-def _accepted_numpy(diagram, batch_bits=16):
-    tails, heads, topo, term_in, _ = _scan_tables(diagram)
     n_edges = diagram.num_edges
     n_verts = len(diagram.vertices)
     total = 1 << n_edges
-    batch = 1 << batch_bits
     chunks = []
-    for lo in range(0, total, batch):
-        masks = np.arange(lo, min(lo + batch, total), dtype=np.int64)
+    for lo in range(0, total, _BATCH):
+        masks = np.arange(lo, min(lo + _BATCH, total), dtype=np.int64)
         keep = np.ones(masks.shape, dtype=bool)
         for tm in term_in:
             keep &= (masks & tm) != 0
@@ -155,38 +53,3 @@ def _accepted_numpy(diagram, batch_bits=16):
     if not chunks:
         return np.empty(0, np.int64)
     return np.concatenate(chunks)
-
-
-def accepted_face_masks(diagram, backend=None):
-    """Sorted masks of all face subsets of the diagram's edge set."""
-    choice = resolve_backend(backend)
-    if diagram.num_edges == 0:
-        return np.zeros(1, np.int64)
-    if choice == "numba":
-        return _accepted_numba(diagram)
-    return _accepted_numpy(diagram)
-
-
-def bench_backends(diagram, repeat=3):
-    """Time every available backend on one diagram; results must agree.
-
-    Returns {backend: {"seconds": best, "faces": count}}.
-    """
-    results = {}
-    reference = None
-    for name in _BACKENDS:
-        if name == "numba" and not HAVE_NUMBA:
-            continue
-        accepted_face_masks(diagram, backend=name)  # warm-up / JIT
-        best = float("inf")
-        masks = None
-        for _ in range(max(1, repeat)):
-            t0 = time.perf_counter()
-            masks = accepted_face_masks(diagram, backend=name)
-            best = min(best, time.perf_counter() - t0)
-        if reference is None:
-            reference = masks
-        elif not np.array_equal(np.sort(reference), np.sort(masks)):
-            raise AssertionError(f"backend {name} disagrees with {_BACKENDS[0]}")
-        results[name] = {"seconds": best, "faces": int(masks.size)}
-    return results

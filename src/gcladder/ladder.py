@@ -28,14 +28,7 @@ import functools
 import numpy as np
 
 from . import kernels
-from .words import (
-    all_words,
-    interleave,
-    r_transform,
-    reduce_composition,
-    word_tilde,
-    word_weight,
-)
+from .words import all_words, child_composition, reduce_composition, word_weight
 
 # Brute force walks all 2^|E| subsets; refuse anything bigger than this.
 MAX_BRUTE_FORCE_EDGES = 22
@@ -420,12 +413,6 @@ def _gadget_mask(diagram, word):
     return mask
 
 
-def child_composition(composition, word):
-    """Reduced composition of the child diagram of an assignment-word branch."""
-    comp = reduce_composition(composition)
-    return reduce_composition(interleave(r_transform(comp, word), word_tilde(word)))
-
-
 def _translation_table(child, parent):
     # Child diagrams share the parent's origin and coordinates, so geometric
     # edge identity is the embedding.
@@ -488,7 +475,7 @@ def face_census(k):
 def brute_force_faces(diagram, max_edges=MAX_BRUTE_FORCE_EDGES):
     """Independent oracle: filter all 2^|E| subsets through the recognizer.
 
-    Runs on the selected scan backend (numba or numpy; see ``kernels``).
+    The scan itself is the vectorized kernel in ``kernels``.
     """
     if diagram.num_edges > max_edges:
         raise ValueError(

@@ -56,7 +56,13 @@ class Spectrum:
     @classmethod
     def parse(cls, text):
         """Comma-separated exact rationals, e.g. "2,1,0" or "3/2,3/2,0"."""
-        return cls(Fraction(part.strip()) for part in text.split(","))
+        values = []
+        for part in text.split(","):
+            try:
+                values.append(Fraction(part.strip()))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {part.strip()!r}") from None
+        return cls(values)
 
     @property
     def n(self):

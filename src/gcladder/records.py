@@ -131,10 +131,28 @@ def golden_payload(max_n):
     }
 
 
+def load_golden(path):
+    """Read a golden f-vector file and check its format and version tag.
+
+    Raises ``ValueError`` naming the file when it cannot be read, is not
+    JSON, or is not a version-1 golden f-vector file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read golden file {path}: {exc}") from None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != GOLDEN_FORMAT
+        or payload.get("version") != VERSION
+    ):
+        raise ValueError(f"{path} is not a version-{VERSION} golden f-vector file")
+    return payload
+
+
 def check_golden(payload):
     """Recompute every entry of a golden payload; returns mismatches."""
-    if payload.get("format") != GOLDEN_FORMAT or payload.get("version") != VERSION:
-        raise ValueError(f"not a version-{VERSION} golden f-vector file")
     bad = []
     for entry in payload["entries"]:
         comp = tuple(entry["composition"])

@@ -80,6 +80,16 @@ def interleave(x, y):
     return tuple(out)
 
 
+def child_composition(comp, w):
+    """Reduced composition of the child diagram on the branch of word w.
+
+    ``comp`` must already be reduced (no zero parts); the child is the
+    interleaving of r_transform(comp, w) with the BOTH positions of w,
+    zeros stripped.
+    """
+    return reduce_composition(interleave(r_transform(comp, w), word_tilde(w)))
+
+
 def word_transforms(k, w):
     """Bundle (d, r, tilde, weight) for a composition/word pair."""
     return d_transform(k, w), r_transform(k, w), word_tilde(w), word_weight(w)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gcladder import kernels
@@ -6,56 +5,8 @@ from gcladder.ladder import build_diagram, is_face
 
 
 @pytest.mark.parametrize("comp", [(1, 1), (2, 1), (1, 1, 1), (3, 1)])
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_backend_matches_scalar_recognizer(comp, backend):
-    if backend == "numba" and not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
+def test_backend_matches_scalar_recognizer(comp):
     d = build_diagram(comp)
-    masks = kernels.accepted_face_masks(d, backend=backend)
+    masks = kernels.accepted_face_masks(d)
     expected = [m for m in range(1 << d.num_edges) if is_face(d, m)]
     assert masks.tolist() == expected
-
-
-def test_backends_agree_on_larger_diagram():
-    pytest.importorskip("numba")
-    d = build_diagram((2, 2))
-    a = kernels.accepted_face_masks(d, backend="numba")
-    b = kernels.accepted_face_masks(d, backend="numpy")
-    assert np.array_equal(a, b)
-
-
-def test_env_flag_dispatch(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    assert kernels.resolve_backend() == "numpy"
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    if kernels.HAVE_NUMBA:
-        assert kernels.resolve_backend() == "numba"
-    else:
-        # refused, never served by the numpy scan in its place
-        with pytest.raises(ValueError, match="numba"):
-            kernels.resolve_backend()
-    monkeypatch.setenv(kernels.ENV_VAR, "fortran")
-    with pytest.raises(ValueError):
-        kernels.resolve_backend()
-    monkeypatch.delenv(kernels.ENV_VAR)
-    assert kernels.resolve_backend() == kernels.default_backend()
-    # explicit argument beats the environment
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    assert kernels.resolve_backend("numpy") == "numpy"
-
-
-def test_env_flag_selects_scan_path(monkeypatch):
-    d = build_diagram((1, 1, 1))
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    via_env = kernels.accepted_face_masks(d)
-    assert via_env.tolist() == kernels.accepted_face_masks(d, backend="numpy").tolist()
-
-
-def test_bench_reports_all_backends():
-    results = kernels.bench_backends(build_diagram((2, 1)), repeat=1)
-    assert "numpy" in results
-    if kernels.HAVE_NUMBA:
-        assert "numba" in results
-    counts = {data["faces"] for data in results.values()}
-    assert counts == {7}
-    assert all(data["seconds"] >= 0 for data in results.values())

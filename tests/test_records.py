@@ -64,7 +64,7 @@ def test_iso_report_record():
 
 
 def test_golden_file_regression():
-    payload = json.loads(GOLDEN_PATH.read_text())
+    payload = records.load_golden(GOLDEN_PATH)
     assert payload["format"] == records.GOLDEN_FORMAT
     assert payload["max_n"] == 6
     assert len(payload["entries"]) == 63
