@@ -21,6 +21,7 @@ from .genfunc import (
 from .ladder import (
     BOTTOM,
     DiagramFace,
+    FaceSet,
     LadderDiagram,
     assignment_of_face,
     brute_force_faces,
@@ -67,4 +68,16 @@ from .words import (
     word_weight,
 )
 
+from . import genfunc, ladder
+
 __version__ = "1.0.0"
+
+
+def clear_caches():
+    """Empty the face-table and f-polynomial memos to release their memory.
+
+    Diagrams stay interned, so faces made before the call still join and
+    meet with faces made after it.
+    """
+    ladder._face_arrays.cache_clear()
+    genfunc._f_polynomial_reduced.cache_clear()

@@ -10,6 +10,8 @@ passes; input that cannot give a verdict is refused with exit 2 and one
 import argparse
 import sys
 
+import numpy as np
+
 from . import records
 from .genfunc import (
     check_operator_expansion,
@@ -21,6 +23,7 @@ from .genfunc import (
 )
 from .ladder import (
     MAX_BRUTE_FORCE_EDGES,
+    DiagramFace,
     assignment_of_face,
     brute_force_faces,
     build_diagram,
@@ -92,32 +95,25 @@ def cmd_fvector(args):
 def cmd_faces(args):
     diagram = build_diagram(args.k)
     if diagram.num_edges > MAX_BRUTE_FORCE_EDGES:
-        print(
-            f"refusing to list faces: diagram has {diagram.num_edges} edges "
-            f"(bound {MAX_BRUTE_FORCE_EDGES}); use `gcladder fvector` for counts",
-            file=sys.stderr,
+        raise ValueError(
+            f"cannot list faces: diagram has {diagram.num_edges} edges "
+            f"(bound {MAX_BRUTE_FORCE_EDGES}); use `gcladder fvector` for counts"
         )
-        return 1
     faces = enumerate_faces(diagram)
-    payload = records.face_list_record(diagram, faces)
-    lines = [
-        f"composition: ({', '.join(str(p) for p in diagram.composition)})",
-        f"edges: {diagram.num_edges}",
-        f"faces: {len(faces)}",
-    ]
-    for face in faces:
-        rec = records.face_record(face)
-        line = f"  dim {face.dim}  edges 0x{rec['edges_hex']}"
+    if args.format == "json":
+        sys.stdout.write(records.dumps(records.face_list_record(faces)))
+        return 0
+    print(f"composition: ({', '.join(str(p) for p in diagram.composition)})")
+    print(f"edges: {diagram.num_edges}")
+    print(f"faces: {len(faces)}")
+    for mask, dim in zip(faces.masks.tolist(), faces.dims.tolist()):
+        line = f"  dim {dim}  edges 0x{records.hex_mask(diagram, mask)}"
         if args.decompose and diagram.n > 0:
-            word = assignment_of_face(face)
+            word = assignment_of_face(DiagramFace(diagram, mask, dim))
             child = child_composition(diagram.composition, word)
             word_str = "".join(_WORD_LETTER[letter] for letter in word) or "-"
             line += f"  word {word_str}  child ({', '.join(map(str, child))})"
-            if args.format == "json":
-                rec["word"] = [list(letter) for letter in word]
-                rec["child_composition"] = list(child)
-        lines.append(line)
-    _emit(args, payload, lines)
+        print(line)
     return 0
 
 
@@ -144,12 +140,13 @@ def _verify_oracle(args, golden, lines, details):
         diagram = build_diagram(comp)
         brute = brute_force_faces(diagram)
         recursive = enumerate_faces(diagram)
-        same_sets = [f.mask for f in brute] == [f.mask for f in recursive]
-        coeffs = {}
-        for f in recursive:
-            coeffs[f.dim] = coeffs.get(f.dim, 0) + 1
+        # the oracle's cycle-rank dimensions must match the word weights too
+        same_sets = np.array_equal(brute.masks, recursive.masks) and np.array_equal(
+            brute.dims, recursive.dims
+        )
+        census = recursive.census()
         poly_ok = tuple(
-            coeffs.get(i, 0) for i in range(max(coeffs) + 1)
+            census.get(i, 0) for i in range(max(census) + 1)
         ) == tuple(f_polynomial(comp).coeffs)
         good = same_sets and poly_ok
         ok = ok and good
@@ -176,11 +173,14 @@ def _verify_oracle(args, golden, lines, details):
     return ok
 
 
+def _pde_s_values(args):
+    return [args.s] if args.s is not None else list(PDE_S_RANGE)
+
+
 def _verify_pde(args, lines, details, vertex):
     runner = verify_vertex_pde if vertex else verify_generating_pde
-    svals = [args.s] if args.s is not None else list(PDE_S_RANGE)
     ok = True
-    for s in svals:
+    for s in _pde_s_values(args):
         report = runner(s, args.degree)
         ok = ok and report.passed
         lines.append("  " + report.summary())
@@ -218,6 +218,13 @@ def cmd_verify(args):
         raise ValueError("verify iso requires --lambda")
     if args.max_n is not None and args.max_n < 1:
         raise ValueError(f"--max-n must be positive, got {args.max_n}")
+    if args.target in ("pde", "gkt", "all"):
+        # the checks of verify_generating_pde, made before the iso suite
+        for s in _pde_s_values(args):
+            if s < 1:
+                raise ValueError("s must be positive")
+            if args.degree < s:
+                raise ValueError("truncation degree must be at least s")
     golden = None
     if args.target in ("oracle", "all"):
         if args.max_n is not None:

@@ -18,12 +18,14 @@ Two independent enumerators are provided: ``enumerate_faces`` recurses over
 assignment words (attaching the terminal-edge gadget of each word to every
 face of the corresponding child diagram), while ``brute_force_faces``
 filters all 2^|E| edge subsets through the face recognizer and never shares
-code with the recursion.
+code with the recursion.  Both return a ``FaceSet``: the sorted masks and
+dimensions as numpy arrays, with ``DiagramFace`` objects built on demand.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -427,7 +429,10 @@ def _translation_table(child, parent):
 
 @functools.lru_cache(maxsize=None)
 def _face_arrays(comp):
-    """All faces of the reduced composition as sorted (masks, dims) arrays."""
+    """All faces of the reduced composition as sorted (masks, dims) arrays.
+
+    The memo hands the same arrays to every caller, so they are read-only.
+    """
     d = _build_reduced(comp)
     if d.num_edges > _MAX_MASK_BITS:
         raise ValueError(
@@ -435,18 +440,23 @@ def _face_arrays(comp):
             f"{_MAX_MASK_BITS}-bit masks"
         )
     if d.n == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16)
+        return _read_only(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16))
     mask_parts = []
     dim_parts = []
     for w in all_words(d.s - 1):
         child_comp = child_composition(comp, w)
         cmasks, cdims = _face_arrays(child_comp)
         child = _build_reduced(child_comp)
-        gmask = _gadget_mask(d, w)
-        table = _translation_table(child, d)
-        pmasks = np.full(cmasks.shape, gmask, dtype=np.int64)
-        for b, parent_bit in enumerate(table):
-            pmasks |= ((cmasks >> b) & 1) << parent_bit
+        # Child edges keep their relative order in the parent, so each moves
+        # up by a shift shared with many others: move them by groups.
+        groups = {}
+        for b, parent_bit in enumerate(_translation_table(child, d)):
+            groups[parent_bit - b] = groups.get(parent_bit - b, 0) | 1 << b
+        pmasks = np.full(cmasks.shape, _gadget_mask(d, w), dtype=np.int64)
+        for shift, group in groups.items():
+            if shift < 0:
+                raise AssertionError(f"child edge order differs in {d}")
+            pmasks |= (cmasks & group) << shift
         mask_parts.append(pmasks)
         dim_parts.append((cdims + word_weight(w)).astype(np.int16))
     masks = np.concatenate(mask_parts)
@@ -456,36 +466,83 @@ def _face_arrays(comp):
     dims = dims[order]
     if masks.size > 1 and not np.all(masks[1:] > masks[:-1]):
         raise AssertionError(f"face recursion produced duplicate masks for {comp}")
+    return _read_only(masks, dims)
+
+
+def _read_only(masks, dims):
+    masks.flags.writeable = False
+    dims.flags.writeable = False
     return masks, dims
 
 
+class FaceSet:
+    """All faces of one diagram as arrays: ``masks`` (int64 edge bit vectors,
+    strictly increasing) and ``dims`` (int16), both read-only.
+
+    Indexing and iteration build ``DiagramFace`` objects on demand and keep
+    none of them, so a face set costs about 10 bytes per face.
+    """
+
+    __slots__ = ("diagram", "masks", "dims")
+
+    def __init__(self, diagram, masks, dims):
+        self.diagram = diagram
+        self.masks = masks
+        self.dims = dims
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        return DiagramFace(self.diagram, int(self.masks[i]), int(self.dims[i]))
+
+    def __iter__(self):
+        d = self.diagram
+        for mask, dim in zip(self.masks.tolist(), self.dims.tolist()):
+            yield DiagramFace(d, mask, dim)
+
+    def census(self):
+        """Face counts by dimension, omitting dimensions with no face."""
+        return {i: int(c) for i, c in enumerate(np.bincount(self.dims)) if c}
+
+    def __repr__(self):
+        return f"FaceSet({self.diagram.composition}, {len(self)} faces)"
+
+
 def enumerate_faces(diagram):
-    """All faces of a diagram, sorted by edge bit vector."""
-    masks, dims = _face_arrays(diagram.composition)
-    return [DiagramFace(diagram, int(m), int(dim)) for m, dim in zip(masks, dims)]
+    """All faces of a diagram, sorted by edge bit vector, by the recursion."""
+    return FaceSet(diagram, *_face_arrays(diagram.composition))
 
 
 def face_census(k):
     """Face counts by dimension, computed by the recursive enumerator."""
-    _, dims = _face_arrays(reduce_composition(k))
-    counts = np.bincount(dims)
-    return {i: int(c) for i, c in enumerate(counts) if c}
+    return enumerate_faces(build_diagram(k)).census()
 
 
 def brute_force_faces(diagram, max_edges=MAX_BRUTE_FORCE_EDGES):
     """Independent oracle: filter all 2^|E| subsets through the recognizer.
 
-    The scan itself is the vectorized kernel in ``kernels``.
+    The scan itself is the vectorized kernel in ``kernels``.  Dimensions are
+    cycle ranks |E| - |V| + 1 counted from the masks, independent of the
+    word weights the recursion adds up.
     """
     if diagram.num_edges > max_edges:
         raise ValueError(
             f"{diagram} has {diagram.num_edges} edges; brute force is capped "
             f"at {max_edges}"
         )
-    if diagram.n == 0:
-        return [DiagramFace(diagram, 0, 0)]
     masks = kernels.accepted_face_masks(diagram)
-    return [DiagramFace(diagram, int(m)) for m in masks]
+    # Every face contains the origin (for n = 0 it is the face's only
+    # vertex), so |V| - 1 counts the other vertices the face touches.
+    dims = np.zeros(masks.shape, dtype=np.int16)
+    for e in range(diagram.num_edges):
+        dims += ((masks >> e) & 1).astype(np.int16)
+    for v in range(len(diagram.vertices)):
+        if v != diagram.origin_index:
+            incident = sum(1 << e for e in diagram.in_edges[v] + diagram.out_edges[v])
+            dims -= (masks & incident) != 0
+    return FaceSet(diagram, *_read_only(masks, dims))
 
 
 def decompose_face(face):

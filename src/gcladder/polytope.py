@@ -540,7 +540,7 @@ def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
     diagram = build_diagram(spectrum.composition)
     pfaces = [f for f in face_lattice(sys, max_n) if not f.is_empty]
     dfaces = enumerate_faces(diagram)
-    dmask_to_dim = {f.mask: f.dim for f in dfaces}
+    diagram_masks = set(dfaces.masks.tolist())
 
     counterexample = None
     images = []
@@ -550,7 +550,7 @@ def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
     image_masks = [g.mask for g in images]
     bijection_ok = (
         len(set(image_masks)) == len(image_masks)
-        and set(image_masks) == set(dmask_to_dim)
+        and set(image_masks) == diagram_masks
     )
     if not bijection_ok and counterexample is None:
         counterexample = (
@@ -599,12 +599,11 @@ def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
                     counterexample = "phi(psi(gamma)) != gamma"
                 break
 
-    diagram_counts = Counter(f.dim for f in dfaces)
     polytope_counts = Counter(f.dim for f in pfaces)
     return IsoReport(
         spectrum=tuple(str(v) for v in spectrum.values),
         composition=spectrum.composition,
-        diagram_counts=tuple(sorted(diagram_counts.items())),
+        diagram_counts=tuple(sorted(dfaces.census().items())),
         polytope_counts=tuple(sorted(polytope_counts.items())),
         face_count=len(pfaces),
         bijection_ok=bijection_ok,

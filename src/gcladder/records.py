@@ -26,19 +26,24 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _hex_mask(diagram, mask):
+def hex_mask(diagram, mask):
+    """A face mask as hexadecimal digits, zero-padded to the diagram's edges."""
     width = max(1, (diagram.num_edges + 3) // 4)
     return f"{mask:0{width}x}"
 
 
-def face_record(face):
+def _face_dict(diagram, mask, dim):
     return {
         "format": FACE_FORMAT,
         "version": VERSION,
-        "composition": list(face.diagram.composition),
-        "edges_hex": _hex_mask(face.diagram, face.mask),
-        "dim": face.dim,
+        "composition": list(diagram.composition),
+        "edges_hex": hex_mask(diagram, mask),
+        "dim": dim,
     }
+
+
+def face_record(face):
+    return _face_dict(face.diagram, face.mask, face.dim)
 
 
 def face_from_record(record):
@@ -56,13 +61,18 @@ def face_from_record(record):
     return face
 
 
-def face_list_record(diagram, faces):
+def face_list_record(faces):
+    """The record of a ``FaceSet``, read from its arrays."""
+    diagram = faces.diagram
     return {
         "format": FACE_LIST_FORMAT,
         "version": VERSION,
         "composition": list(diagram.composition),
         "edge_count": diagram.num_edges,
-        "faces": [face_record(f) for f in faces],
+        "faces": [
+            _face_dict(diagram, mask, dim)
+            for mask, dim in zip(faces.masks.tolist(), faces.dims.tolist())
+        ],
     }
 
 
@@ -132,10 +142,12 @@ def golden_payload(max_n):
 
 
 def load_golden(path):
-    """Read a golden f-vector file and check its format and version tag.
+    """Read a golden f-vector file and check its tag and structure.
 
     Raises ``ValueError`` naming the file when it cannot be read, is not
-    JSON, or is not a version-1 golden f-vector file.
+    JSON, is not a version-1 golden f-vector file, or has an entry without
+    a composition of non-negative integers or coefficients as decimal
+    strings (naming the entry's index).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,6 +160,24 @@ def load_golden(path):
         or payload.get("version") != VERSION
     ):
         raise ValueError(f"{path} is not a version-{VERSION} golden f-vector file")
+    entries = payload.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'entries' is not a list")
+    for i, entry in enumerate(entries):
+        comp = entry.get("composition") if isinstance(entry, dict) else None
+        coeffs = entry.get("coefficients") if isinstance(entry, dict) else None
+        if not isinstance(comp, list) or not all(
+            type(p) is int and p >= 0 for p in comp
+        ):
+            raise ValueError(
+                f"{path}: entry {i} has no 'composition' list of non-negative integers"
+            )
+        if not isinstance(coeffs, list) or not all(
+            isinstance(c, str) and c.isascii() and c.isdigit() for c in coeffs
+        ):
+            raise ValueError(
+                f"{path}: entry {i} has no 'coefficients' list of decimal strings"
+            )
     return payload
 
 

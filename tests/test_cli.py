@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from gcladder import cli
 from gcladder.cli import main
+from gcladder.ladder import FaceSet, brute_force_faces
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = str(ROOT / "golden" / "fvectors_n6.json")
@@ -65,7 +67,23 @@ def test_faces_count_111(capsys):
 def test_faces_refusal_suggests_fvector(capsys):
     code = main(["faces", "--k", "3,3"])
     err = capsys.readouterr().err
-    assert code == 1 and "fvector" in err
+    assert code == 2 and "fvector" in err
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (["faces", "--k", "2,1", "--format", "json"], "faces_k2_1.json"),
+        (
+            ["faces", "--k", "1,1,1", "--decompose", "--format", "json"],
+            "faces_k1_1_1_decompose.json",
+        ),
+    ],
+)
+def test_faces_json_bytes_pinned(argv, pinned, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (ROOT / "tests" / "data" / pinned).read_bytes()
 
 
 def test_faces_decompose(capsys):
@@ -113,6 +131,17 @@ def test_verify_oracle_golden_mismatch(tmp_path, capsys):
     assert code == 1 and "mismatch" in out
 
 
+def test_verify_oracle_compares_dimensions(monkeypatch, capsys):
+    def shifted_dims(diagram):
+        faces = brute_force_faces(diagram)
+        return FaceSet(diagram, faces.masks, faces.dims + 1)
+
+    monkeypatch.setattr(cli, "brute_force_faces", shifted_dims)
+    code, out = run(capsys, "verify", "oracle", "--max-n", "2", "--format", "json")
+    assert code == 1
+    assert [c["edge_sets_match"] for c in json.loads(out)["checks"]] == [False] * 3
+
+
 NOT_GOLDEN = str(ROOT / "README.md")
 WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
 
@@ -135,9 +164,18 @@ WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
         (["verify", "oracle", "--golden", "missing.json"], "missing.json"),
         (["verify", "oracle", "--golden", NOT_GOLDEN], NOT_GOLDEN),
         (["verify", "oracle", "--golden", WRONG_FORMAT], WRONG_FORMAT),
+        (["verify", "all", "--s", "0"], "s must be positive"),
+        (["verify", "all", "--degree", "0"], "truncation degree must be at least s"),
+        (["verify", "gkt", "--s", "3", "--degree", "2"], "truncation degree"),
+        (["faces", "--k", "3,3"], "(bound 22); use `gcladder fvector`"),
     ],
 )
-def test_refusal_contract(argv, reason, capsys):
+def test_refusal_contract(argv, reason, monkeypatch, capsys):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before the refusal")
+
+    monkeypatch.setattr(cli, "verify_isomorphism", no_check)
+    monkeypatch.setattr(cli, "brute_force_faces", no_check)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -145,6 +183,35 @@ def test_refusal_contract(argv, reason, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("refusal: ")
     assert reason in lines[0]
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ({}, "'entries' is not a list"),
+        ({"entries": {}}, "'entries' is not a list"),
+        ({"entries": [{"composition": [1, 1]}]}, "entry 0 has no 'coefficients'"),
+        ({"entries": [{"composition": [1], "coefficients": ["1"]}, {"coefficients": ["1"]}]},
+         "entry 1 has no 'composition'"),
+        ({"entries": [{"composition": [1, -1], "coefficients": ["1"]}]}, "entry 0"),
+        ({"entries": [{"composition": [1, 1], "coefficients": [2, 1]}]}, "entry 0"),
+        ({"entries": [{"composition": [1, 1], "coefficients": ["2", "-1"]}]}, "entry 0"),
+        ({"entries": ["(1, 1)"]}, "entry 0"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["fvector", "--k", "1,1", "--golden"], ["verify", "oracle", "--max-n", "1", "--golden"]],
+)
+def test_golden_structure_refusal(argv, payload, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "gcladder/golden-fvectors", "version": 1, **payload}))
+    code = main([*argv, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refusal: ")
+    assert str(bad) in lines[0] and reason in lines[0]
 
 
 def test_json_output_byte_identical(capsys):

@@ -1,12 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcladder import clear_caches
+from gcladder.genfunc import f_vector
 from gcladder.ladder import (
     BOTTOM,
     DiagramFace,
+    FaceSet,
     MAX_BRUTE_FORCE_EDGES,
     assignment_of_face,
     brute_force_faces,
@@ -18,6 +22,7 @@ from gcladder.ladder import (
     diagram_edge_count,
     enumerate_faces,
     face_census,
+    face_dimension,
     is_face,
     is_face_local,
     join,
@@ -141,18 +146,73 @@ def test_enumerate_census(comp, fvec):
 
 
 def test_enumerate_canonical_order():
-    faces = enumerate_faces(build_diagram((2, 1)))
-    masks = [f.mask for f in faces]
-    assert masks == sorted(masks)
+    masks = enumerate_faces(build_diagram((2, 1))).masks
+    assert np.all(masks[1:] > masks[:-1])
 
 
-@pytest.mark.parametrize("comp", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (5,)])
+@pytest.mark.parametrize("comp", compositions_with_edge_bound(MAX_BRUTE_FORCE_EDGES))
 def test_brute_force_matches_enumeration(comp):
+    # the oracle's dims are cycle ranks counted from the masks; the
+    # recursion's add up word weights
     d = build_diagram(comp)
     brute = brute_force_faces(d)
     rec = enumerate_faces(d)
-    assert [f.mask for f in brute] == [f.mask for f in rec]
-    assert [f.dim for f in brute] == [f.dim for f in rec]
+    assert np.array_equal(brute.masks, rec.masks)
+    assert np.array_equal(brute.dims, rec.dims)
+
+
+def test_face_set_len_and_indexing():
+    d = build_diagram((2, 1))
+    faces = enumerate_faces(d)
+    assert isinstance(faces, FaceSet) and faces.diagram is d
+    assert len(faces) == 7
+    assert faces[0] == DiagramFace(d, int(faces.masks[0]))
+    assert faces[-1].is_full() and faces[-1].dim == 2
+    assert faces[-7] == faces[0]
+    with pytest.raises(IndexError):
+        faces[7]
+    with pytest.raises(TypeError):
+        faces[0:1]
+
+
+@pytest.mark.parametrize("comp", [(), (1, 1), (2, 1), (1, 1, 1), (2, 2)])
+def test_face_set_iteration_and_census(comp):
+    for faces in (enumerate_faces(build_diagram(comp)), brute_force_faces(build_diagram(comp))):
+        assert faces.census() == {i: c for i, c in enumerate(f_vector(comp)) if c}
+        listed = list(faces)
+        assert all(type(f) is DiagramFace for f in listed)
+        assert [f.mask for f in listed] == faces.masks.tolist()
+        assert [f.dim for f in listed] == faces.dims.tolist()
+        assert [f.dim for f in listed] == [face_dimension(f) for f in listed]
+        assert listed == list(faces)  # iterating twice gives the same faces
+
+
+@pytest.mark.parametrize("enumerator", [enumerate_faces, brute_force_faces])
+def test_face_set_arrays_are_read_only(enumerator):
+    faces = enumerator(build_diagram((1, 1, 1)))
+    before = faces.masks.tolist()
+    with pytest.raises(ValueError):
+        faces.masks[0] = 0
+    with pytest.raises(ValueError):
+        faces.dims[0] = 5
+    assert enumerator(build_diagram((1, 1, 1))).masks.tolist() == before
+
+
+def test_clear_caches_keeps_diagrams_interned():
+    from gcladder.genfunc import _f_polynomial_reduced
+    from gcladder.ladder import _face_arrays
+
+    d = build_diagram((1, 1, 1))
+    before = enumerate_faces(d)[3]
+    f_vector((1, 1, 1))
+    assert _face_arrays.cache_info().currsize > 0
+    assert _f_polynomial_reduced.cache_info().currsize > 0
+    clear_caches()
+    assert _face_arrays.cache_info().currsize == 0
+    assert _f_polynomial_reduced.cache_info().currsize == 0
+    after = enumerate_faces(build_diagram((1, 1, 1)))[5]
+    assert after.diagram is before.diagram
+    assert join(before, after).mask == before.mask | after.mask
 
 
 def test_brute_force_refuses_large_diagram():
@@ -234,7 +294,7 @@ def _lattice_laws(a, b, c):
 
 @pytest.mark.parametrize("comp", [(1, 1), (2, 1), (1, 1, 1)])
 def test_lattice_laws_exhaustive(comp):
-    elements = enumerate_faces(build_diagram(comp)) + [BOTTOM]
+    elements = [*enumerate_faces(build_diagram(comp)), BOTTOM]
     for a in elements:
         for b in elements:
             for c in elements:
@@ -243,7 +303,7 @@ def test_lattice_laws_exhaustive(comp):
 
 @pytest.mark.parametrize("comp", sorted(compositions_of(4)))
 def test_lattice_laws_sampled_n4(comp):
-    elements = enumerate_faces(build_diagram(comp)) + [BOTTOM]
+    elements = [*enumerate_faces(build_diagram(comp)), BOTTOM]
     rng = random.Random(20260809)
     for _ in range(400):
         a, b, c = (rng.choice(elements) for _ in range(3))
