@@ -35,6 +35,10 @@ from .polytope import MAX_ORACLE_N, Spectrum, canonical_spectrum, verify_isomorp
 from .words import child_composition
 
 ORACLE_EDGE_BOUND = 20
+# Largest n = k_1 + ... + k_s that `fvector` computes.  On a 2-core Xeon
+# the slowest compositions found at n = 12 take about 1.4 s, and at n = 13
+# about 4 s: each further unit of n costs about 3-4x more.
+MAX_FVECTOR_N = 12
 DEFAULT_DEGREE = 6
 PDE_S_RANGE = (1, 2, 3)
 _WORD_LETTER = {(1, 0): "R", (0, 1): "U", (1, 1): "B"}
@@ -63,6 +67,13 @@ def _emit(args, payload, human_lines):
 
 
 def cmd_fvector(args):
+    n = sum(args.k)
+    if n > MAX_FVECTOR_N:
+        raise ValueError(
+            f"cannot compute the f-vector: n = {n} exceeds the bound "
+            f"n <= {MAX_FVECTOR_N}"
+        )
+    golden = records.load_golden(args.golden) if args.golden else None
     poly = f_polynomial(args.k)
     payload = records.fvector_record(args.k)
     lines = [
@@ -71,10 +82,10 @@ def cmd_fvector(args):
         f"F(t) = {poly}",
     ]
     status = 0
-    if args.golden:
+    if golden is not None:
         entries = {
             tuple(e["composition"]): tuple(e["coefficients"])
-            for e in records.load_golden(args.golden)["entries"]
+            for e in golden["entries"]
         }
         key = tuple(p for p in args.k if p > 0)
         want = entries.get(key)
@@ -92,6 +103,12 @@ def cmd_fvector(args):
     return status
 
 
+def _decomposition(face):
+    """Assignment word and child composition of one face."""
+    word = assignment_of_face(face)
+    return word, child_composition(face.diagram.composition, word)
+
+
 def cmd_faces(args):
     diagram = build_diagram(args.k)
     if diagram.num_edges > MAX_BRUTE_FORCE_EDGES:
@@ -100,17 +117,23 @@ def cmd_faces(args):
             f"(bound {MAX_BRUTE_FORCE_EDGES}); use `gcladder fvector` for counts"
         )
     faces = enumerate_faces(diagram)
+    decompose = args.decompose and diagram.n > 0
     if args.format == "json":
-        sys.stdout.write(records.dumps(records.face_list_record(faces)))
+        payload = records.face_list_record(faces)
+        if decompose:
+            for rec, face in zip(payload["faces"], faces):
+                word, child = _decomposition(face)
+                rec["word"] = [list(letter) for letter in word]
+                rec["child_composition"] = list(child)
+        sys.stdout.write(records.dumps(payload))
         return 0
     print(f"composition: ({', '.join(str(p) for p in diagram.composition)})")
     print(f"edges: {diagram.num_edges}")
     print(f"faces: {len(faces)}")
     for mask, dim in zip(faces.masks.tolist(), faces.dims.tolist()):
         line = f"  dim {dim}  edges 0x{records.hex_mask(diagram, mask)}"
-        if args.decompose and diagram.n > 0:
-            word = assignment_of_face(DiagramFace(diagram, mask, dim))
-            child = child_composition(diagram.composition, word)
+        if decompose:
+            word, child = _decomposition(DiagramFace(diagram, mask, dim))
             word_str = "".join(_WORD_LETTER[letter] for letter in word) or "-"
             line += f"  word {word_str}  child ({', '.join(map(str, child))})"
         print(line)

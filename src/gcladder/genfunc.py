@@ -4,7 +4,9 @@ differential operators acting on them.
 The f-polynomial of a composition counts faces of its ladder diagram by
 dimension.  It satisfies a recursion over assignment words, which is what
 ``f_polynomial`` evaluates (memoized on reduced compositions, with the
-empty composition as base case F = 1).
+empty composition as base case F = 1), one term per distinct child
+composition: ``words.child_groups`` merges the words by child and counts
+them by weight.
 
 ``fpolynomial_egf`` assembles the exponential generating function of the
 f-polynomials, truncated at a total degree, with exact rational
@@ -29,7 +31,7 @@ from itertools import product
 
 from .words import (
     all_words,
-    child_composition,
+    child_groups,
     d_transform,
     interleave,
     r_transform,
@@ -148,11 +150,18 @@ TPoly.ONE = TPoly((1,))
 def _f_polynomial_reduced(comp):
     if not comp:
         return TPoly.ONE
-    acc = TPoly.ZERO
-    for w in all_words(len(comp) - 1):
-        child = child_composition(comp, w)
-        acc = acc + _f_polynomial_reduced(child).shift(word_weight(w))
-    return acc
+    # F_comp = sum over words w of t^|w| F_child(w), one term per child
+    acc = []
+    for child, counts in child_groups(comp).items():
+        coeffs = _f_polynomial_reduced(child).coeffs
+        size = len(counts) + len(coeffs) - 1
+        if len(acc) < size:
+            acc.extend([0] * (size - len(acc)))
+        for i, c in enumerate(counts):
+            if c:
+                for j, f in enumerate(coeffs, i):
+                    acc[j] += c * f
+    return TPoly(acc)
 
 
 def f_polynomial(k):

@@ -80,14 +80,78 @@ def interleave(x, y):
     return tuple(out)
 
 
+def letter_step(part, beta, letter):
+    """The branch rule for one letter of a word at one part of the parent.
+
+    ``beta`` is the vertical flag of the previous letter (1 before the first
+    letter).  The letter (a, v) appends r = part + 1 - a - beta to the child
+    when r is positive, then a 1 when it is BOTH, and passes v on as the next
+    beta.  Returns (appended parts, v).  The far corner is fixed to
+    horizontal, so the last part of the parent steps with the letter RIGHT.
+    """
+    a, v = letter
+    r = part + 1 - a - beta
+    head = (r,) if r > 0 else ()
+    return (head + (1,) if a and v else head), v
+
+
 def child_composition(comp, w):
     """Reduced composition of the child diagram on the branch of word w.
 
-    ``comp`` must already be reduced (no zero parts); the child is the
+    ``comp`` must already be reduced (no zero parts).  The child is the
     interleaving of r_transform(comp, w) with the BOTH positions of w,
-    zeros stripped.
+    zeros stripped, built letter by letter with ``letter_step``.
     """
-    return reduce_composition(interleave(r_transform(comp, w), word_tilde(w)))
+    if len(w) != len(comp) - 1:
+        raise ValueError(
+            f"word length {len(w)} does not fit composition length {len(comp)}"
+        )
+    child, beta = (), 1
+    for part, letter in zip(comp, (*w, RIGHT)):
+        parts, beta = letter_step(part, beta, letter)
+        child += parts
+    return child
+
+
+def _add_counts(table, key, counts, shift):
+    # table[key] += t^shift * counts, on lists of word counts by weight
+    acc = table.get(key)
+    if acc is None:
+        table[key] = [0] * shift + counts
+        return
+    if len(acc) < shift + len(counts):
+        acc.extend([0] * (shift + len(counts) - len(acc)))
+    for i, c in enumerate(counts, shift):
+        acc[i] += c
+
+
+def child_groups(comp):
+    """The branches of the face recursion of ``comp``, merged by child.
+
+    Returns {child composition: counts}, where counts[i] is the number of
+    words of weight i whose branch has that child; this is the multiset of
+    (``child_composition(comp, w)``, ``word_weight(w)``) over all words.
+    The letters are walked left to right, and words that agree on the child
+    prefix built so far and on the vertical flag of their last letter are
+    merged: the rest of the child depends only on that flag and on the
+    letters still to come.  ``comp`` must be reduced and non-empty.
+    """
+    states = {((), 1): [1]}
+    for part in comp[:-1]:
+        steps = {
+            beta: [(*letter_step(part, beta, (a, v)), a * v) for a, v in LETTERS]
+            for beta in (0, 1)
+        }
+        nxt = {}
+        for (prefix, beta), counts in states.items():
+            for parts, v, weight in steps[beta]:
+                _add_counts(nxt, (prefix + parts, v), counts, weight)
+        states = nxt
+    groups = {}
+    last = {beta: letter_step(comp[-1], beta, RIGHT)[0] for beta in (0, 1)}
+    for (prefix, beta), counts in states.items():
+        _add_counts(groups, prefix + last[beta], counts, 0)
+    return groups
 
 
 def word_transforms(k, w):

@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from gcladder import cli
 from gcladder.cli import main
+from gcladder.genfunc import f_vector
 from gcladder.ladder import FaceSet, brute_force_faces
+from gcladder.words import all_words, child_composition
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = str(ROOT / "golden" / "fvectors_n6.json")
@@ -46,6 +49,11 @@ def test_fvector_golden_missing_entry(capsys):
     assert code == 1 and "no entry" in out
 
 
+def test_fvector_at_its_bound(capsys):
+    code, out = run(capsys, "fvector", "--k", "5,0,7")
+    assert code == 0 and "composition: (5, 0, 7)" in out
+
+
 def test_malformed_composition_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fvector", "--k", "1,x"])
@@ -84,6 +92,21 @@ def test_faces_json_bytes_pinned(argv, pinned, capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out.encode() == (ROOT / "tests" / "data" / pinned).read_bytes()
+
+
+def test_faces_decompose_json_words(capsys):
+    code, out = run(capsys, "faces", "--k", "1,2,1", "--decompose", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["faces"]
+    words = Counter()
+    for rec in records:
+        word = tuple(tuple(letter) for letter in rec["word"])
+        assert tuple(rec["child_composition"]) == child_composition((1, 2, 1), word)
+        words[word] += 1
+    # each word's faces are the faces of its child diagram
+    assert words == {
+        w: sum(f_vector(child_composition((1, 2, 1), w))) for w in all_words(2)
+    }
 
 
 def test_faces_decompose(capsys):
@@ -168,6 +191,8 @@ WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
         (["verify", "all", "--degree", "0"], "truncation degree must be at least s"),
         (["verify", "gkt", "--s", "3", "--degree", "2"], "truncation degree"),
         (["faces", "--k", "3,3"], "(bound 22); use `gcladder fvector`"),
+        (["fvector", "--k", ",".join(["1"] * 13)], "n = 13 exceeds the bound n <= 12"),
+        (["fvector", "--k", "6,7", "--golden", GOLDEN], "n <= 12"),
     ],
 )
 def test_refusal_contract(argv, reason, monkeypatch, capsys):
@@ -176,6 +201,7 @@ def test_refusal_contract(argv, reason, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "verify_isomorphism", no_check)
     monkeypatch.setattr(cli, "brute_force_faces", no_check)
+    monkeypatch.setattr(cli, "f_polynomial", no_check)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

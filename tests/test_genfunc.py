@@ -1,13 +1,16 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcladder import clear_caches
 from gcladder.genfunc import (
     DiffOperator,
     TPoly,
     TruncatedSeries,
+    _f_polynomial_reduced,
     check_operator_expansion,
     check_transform_round_trip,
     check_word_action,
@@ -26,11 +29,38 @@ from gcladder.genfunc import (
     word_operator,
 )
 from gcladder.ladder import compositions_of, face_census
-from gcladder.words import all_words
+from gcladder.words import all_words, child_composition, word_weight
 
 compositions = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4).map(
     tuple
 )
+
+
+def _from_cuts(cuts):
+    # cuts[i] says whether a part ends after the (i+1)-th unit
+    parts, run = [], 1
+    for cut in cuts:
+        if cut:
+            parts.append(run)
+            run = 1
+        else:
+            run += 1
+    return tuple(parts + [run])
+
+
+# every composition with n <= 8 (n - 1 cut flags per composition of n)
+compositions_n8 = st.lists(st.booleans(), max_size=7).map(_from_cuts)
+
+
+@functools.lru_cache(maxsize=None)
+def per_word_f_polynomial(comp):
+    """Reference: the paper's recursion, one word at a time."""
+    if not comp:
+        return TPoly.ONE
+    acc = TPoly.ZERO
+    for w in all_words(len(comp) - 1):
+        acc = acc + per_word_f_polynomial(child_composition(comp, w)).shift(word_weight(w))
+    return acc
 
 
 class TestTPoly:
@@ -88,6 +118,19 @@ class TestFPolynomial:
                 poly = f_polynomial(comp)
                 assert poly(0) == census.get(0, 0)
                 assert poly(1) == sum(census.values())
+
+    @given(compositions_n8)
+    @settings(deadline=None)
+    def test_merged_recursion_equals_per_word_sum(self, comp):
+        assert f_polynomial(comp) == per_word_f_polynomial(comp)
+
+    @pytest.mark.parametrize(
+        "comp, misses", [((1,) * 8, 77), ((2, 3, 2, 1), 79), ((1,) * 10, 256)]
+    )
+    def test_cold_call_visits_each_child_once(self, comp, misses):
+        clear_caches()
+        f_polynomial(comp)
+        assert _f_polynomial_reduced.cache_info().misses == misses
 
     def test_leading_coefficient_and_degree(self):
         for comp in [(1, 1, 1), (2, 2), (3, 1, 2)]:

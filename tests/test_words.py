@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,14 +10,20 @@ from gcladder.words import (
     RIGHT,
     UP,
     all_words,
+    child_composition,
+    child_groups,
     d_transform,
     interleave,
+    letter_step,
     r_transform,
     reduce_composition,
     word_tilde,
     word_transforms,
     word_weight,
 )
+from gcladder.ladder import compositions_of
+
+SMALL_COMPOSITIONS = [c for n in range(1, 8) for c in compositions_of(n)]
 
 
 def test_letter_values():
@@ -81,3 +88,44 @@ def test_round_trip_exhaustive_small():
             for k in product(range(4), repeat=s):
                 d = d_transform(k, w)
                 assert r_transform(tuple(x + 1 for x in d), w) == k
+
+
+def test_letter_step():
+    # r = part + 1 - a - beta, appended when positive; BOTH appends a 1
+    assert letter_step(2, 1, RIGHT) == ((1,), 0)
+    assert letter_step(2, 0, UP) == ((3,), 1)
+    assert letter_step(2, 1, BOTH) == ((1, 1), 1)
+    assert letter_step(1, 1, BOTH) == ((1,), 1)
+    assert letter_step(1, 1, RIGHT) == ((), 0)
+
+
+def test_child_composition_refuses_wrong_word_length():
+    with pytest.raises(ValueError, match="word length"):
+        child_composition((1, 1), ())
+    with pytest.raises(ValueError, match="word length"):
+        child_composition((), ())
+
+
+def test_child_composition_interleaves_the_transforms():
+    for comp in SMALL_COMPOSITIONS:
+        for w in all_words(len(comp) - 1):
+            want = reduce_composition(interleave(r_transform(comp, w), word_tilde(w)))
+            assert child_composition(comp, w) == want
+
+
+def test_child_groups_merge_the_words():
+    for comp in SMALL_COMPOSITIONS:
+        want = Counter(
+            (child_composition(comp, w), word_weight(w))
+            for w in all_words(len(comp) - 1)
+        )
+        got = Counter(
+            {
+                (child, weight): count
+                for child, counts in child_groups(comp).items()
+                for weight, count in enumerate(counts)
+                if count
+            }
+        )
+        assert got == want, comp
+        assert all(counts[-1] for counts in child_groups(comp).values())
