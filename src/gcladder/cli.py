@@ -211,8 +211,8 @@ def _verify_pde(args, lines, details, vertex):
     return ok
 
 
-def _verify_iso(args, spectrum, lines, details):
-    report = verify_isomorphism(spectrum, max_n=args.max_n or MAX_ORACLE_N)
+def _verify_iso(spectrum, max_n, lines, details):
+    report = verify_isomorphism(spectrum, max_n=max_n)
     lines.append("  " + report.summary())
     details.append(records.iso_report_record(report))
     return report.passed
@@ -241,6 +241,12 @@ def cmd_verify(args):
         raise ValueError("verify iso requires --lambda")
     if args.max_n is not None and args.max_n < 1:
         raise ValueError(f"--max-n must be positive, got {args.max_n}")
+    # --max-n only lowers the oracle cap, for iso as for the suite of all
+    iso_max_n = min(args.max_n or MAX_ORACLE_N, MAX_ORACLE_N)
+    if args.target in ("iso", "all") and spectrum is not None and spectrum.n > iso_max_n:
+        raise ValueError(
+            f"polyhedral oracle is capped at n <= {iso_max_n}; got n = {spectrum.n}"
+        )
     if args.target in ("pde", "gkt", "all"):
         # the checks of verify_generating_pde, made before the iso suite
         for s in _pde_s_values(args):
@@ -259,19 +265,18 @@ def cmd_verify(args):
     results = []
     if args.target in ("iso", "all"):
         if args.target == "all" and spectrum is None:
-            max_n = min(args.max_n or MAX_ORACLE_N, MAX_ORACLE_N)
             good = True
             lines.append("isomorphism (canonical spectra):")
-            for n in range(1, max_n + 1):
+            for n in range(1, iso_max_n + 1):
                 for comp in compositions_of(n):
-                    report = verify_isomorphism(canonical_spectrum(comp), max_n=max_n)
+                    report = verify_isomorphism(canonical_spectrum(comp), max_n=iso_max_n)
                     good = good and report.passed
                     lines.append("  " + report.summary())
                     details.append(records.iso_report_record(report))
             results.append(good)
         else:
             lines.append("isomorphism:")
-            results.append(_verify_iso(args, spectrum, lines, details))
+            results.append(_verify_iso(spectrum, iso_max_n, lines, details))
     if args.target in ("pde", "all"):
         lines.append("generating-function identity:")
         results.append(_verify_pde(args, lines, details, vertex=False))

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .words import (
     all_words,
     child_groups,
@@ -619,13 +621,17 @@ def check_operator_expansion(s):
 
 
 def check_transform_round_trip(max_s, max_part):
-    """r_w(d_w(k) + 1) == k for every word and every k with bounded parts."""
+    """r_w(d_w(k) + 1) == k for every word and every k with bounded parts.
+
+    Each transform runs once per word on the whole grid of k, passed as one
+    integer column per part; failures come back in word-then-k order.
+    """
     bad = []
     for s in range(1, max_s + 1):
+        k = tuple(np.indices((max_part + 1,) * s).reshape(s, -1))
         for w in all_words(s - 1):
-            for k in product(range(max_part + 1), repeat=s):
-                d = d_transform(k, w)
-                back = r_transform(tuple(x + 1 for x in d), w)
-                if back != k:
-                    bad.append((s, w, k))
+            d = d_transform(k, w)
+            back = r_transform(tuple(x + 1 for x in d), w)
+            wrong = np.logical_or.reduce([b != a for a, b in zip(k, back)])
+            bad.extend((s, w, tuple(row)) for row in np.stack(k, axis=1)[wrong].tolist())
     return bad

@@ -9,23 +9,24 @@ in n(n-1)/2 coordinates.  Each inequality pairs with one grid edge: the UP
 constraint of (i,j) with the horizontal edge into (i,j), the DOWN
 constraint with the vertical edge into (i,j).
 
-The face-lattice oracle works purely on the inequality system - vertex
-enumeration over square subsystems, then closure of vertex sets under the
-tightness incidence - and never touches the diagram machinery, so its
-agreement with the edge-wise face maps is evidence, not tautology.  All
-arithmetic is over ``fractions.Fraction``; there are no tolerances.
+The face-lattice oracle works purely on the inequality system - vertices
+by double description, then faces as intersections of the constraints'
+vertex sets - and never touches the diagram machinery, so its agreement
+with the edge-wise face maps is evidence, not tautology.  All arithmetic is
+exact (Python ints and ``fractions.Fraction``); there are no tolerances.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
+from math import gcd, lcm
 
 from .ladder import BOTTOM, DiagramFace, build_diagram, enumerate_faces, is_face
 
-# Vertex enumeration scans C(2|I|, d) subsystems; n = 4 means C(12, 6) = 924.
+# `verify all` clamps its pinned iso suite to this n; the oracle handles n = 5.
 MAX_ORACLE_N = 4
 
 
@@ -110,11 +111,20 @@ class Constraint:
         return acc
 
 
+def _integer_row(coeffs, const):
+    scale = lcm(*(q.denominator for q in coeffs), const.denominator)
+    return tuple(int(q * scale) for q in (*coeffs, const))
+
+
 class GCSystem:
     """The full inequality system of a spectrum, with deterministic
     constraint indexing: all UP constraints in lexicographic (i, j) order,
     then all DOWN constraints likewise (matching the diagram's
-    horizontals-then-verticals edge order)."""
+    horizontals-then-verticals edge order).
+
+    ``rows`` holds each constraint as the integer row (a, b) of the
+    homogenised inequality a.x + b.t >= 0, scaled to clear denominators.
+    """
 
     __slots__ = (
         "spectrum",
@@ -123,9 +133,11 @@ class GCSystem:
         "var_index",
         "d",
         "constraints",
+        "rows",
         "_vertices",
-        "_tight_masks",
+        "_vertex_sets",
         "_faces",
+        "_face_of",
     )
 
     def __init__(self, spectrum):
@@ -164,17 +176,15 @@ class GCSystem:
                     Constraint(kind, i, j, tuple(coeffs), const, edge)
                 )
         self.constraints = tuple(cons)
+        self.rows = tuple(_integer_row(c.coeffs, c.const) for c in cons)
         self._vertices = None
-        self._tight_masks = None
+        self._vertex_sets = None
         self._faces = None
+        self._face_of = None
 
     @property
     def num_constraints(self):
         return len(self.constraints)
-
-    def constraint_index(self, kind, i, j):
-        base = 0 if kind == "up" else self.d
-        return base + self.index_set.index((i, j))
 
     def __repr__(self):
         return f"GCSystem(n={self.n}, d={self.d}, constraints={self.num_constraints})"
@@ -185,87 +195,124 @@ def build_system(spectrum):
     return GCSystem(spectrum)
 
 
-def solve_square(rows, rhs):
-    """Exact solution of a square rational system, or None if singular."""
-    d = len(rows)
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(d):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[r][d] for r in range(d))
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def affine_rank(points):
-    """Dimension of the affine hull of exact rational points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    cols = len(base)
+def _holders(masks):
+    """For each bit, the bitset of the indices of the masks that contain it."""
+    holders = {}
+    for index, mask in enumerate(masks):
+        for bit in _bits(mask):
+            holders[bit] = holders.get(bit, 0) | 1 << index
+    return holders
+
+
+def _containing(holders, mask, everything):
+    """Bitset of the indices whose masks contain all of ``mask``."""
+    for bit in _bits(mask):
+        everything &= holders[bit]
+    return everything
+
+
+def _dot(row, vector):
+    return sum(a * b for a, b in zip(row, vector))
+
+
+def _project(vector, scale, weight, pivot):
+    """scale * vector - weight * pivot, divided by the gcd of its entries."""
+    if not weight:
+        return vector
+    out = [scale * a - weight * b for a, b in zip(vector, pivot)]
+    g = gcd(*out)
+    return tuple(a // g for a in out) if g > 1 else tuple(out)
+
+
+def _rank(rows):
+    """Rank of integer rows, by fraction-free elimination."""
+    rows = [r for r in rows if any(r)]
     rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+    while rows:
+        pivot = rows.pop()
+        col = next(c for c, a in enumerate(pivot) if a)
+        rows = [
+            r for r in (_project(r, pivot[col], r[col], pivot) for r in rows) if any(r)
+        ]
         rank += 1
-        if rank == len(rows):
-            break
     return rank
 
 
-def _check_oracle_bound(sys, max_n):
-    if sys.n > max_n:
-        raise ValueError(
-            f"polyhedral oracle is capped at n <= {max_n}; got n = {sys.n}"
-        )
+def _extreme_rays(rows, dim):
+    """Extreme rays of the cone {y in Q^dim : r.y >= 0 for every row r}, as
+    (primitive integer vector, bitmask of the rows tight on it), by double
+    description (Fukuda & Prodon 1996); the rows must span Q^dim.
+
+    Lineality goes first: each row that is not zero on the lineality space
+    turns one lineality vector into a ray and projects the other generators
+    onto its hyperplane, leaving a simplicial cone after dim rows.  Every
+    later row keeps the rays on its nonnegative side and adds, for each
+    adjacent pair it separates, the pair's combination tight on it.  Rays
+    are adjacent iff no third ray is tight on all rows both are tight on
+    (Fukuda & Prodon, Proposition 7), which needs dim - 2 such rows.
+    """
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    applied = 0
+    deferred = []
+    for c, row in enumerate(rows):
+        pivot = next((v for v in lineality if _dot(row, v)), None)
+        if pivot is None:
+            deferred.append(c)
+            continue
+        lineality.remove(pivot)
+        scale = _dot(row, pivot)
+        if scale < 0:
+            pivot, scale = tuple(-a for a in pivot), -scale
+        lineality = [_project(v, scale, _dot(row, v), pivot) for v in lineality]
+        rays = [(_project(v, scale, _dot(row, v), pivot), z | 1 << c) for v, z in rays]
+        rays.append((pivot, applied))
+        applied |= 1 << c
+    if lineality:
+        raise ValueError("the rows do not span the space; the cone contains a line")
+    for c in deferred:
+        row, bit = rows[c], 1 << c
+        signs = [_dot(row, v) for v, _ in rays]
+        kept = [(v, z | bit if s == 0 else z) for (v, z), s in zip(rays, signs) if s >= 0]
+        holders = _holders([z for _, z in rays])
+        everything = (1 << len(rays)) - 1
+        positive = [i for i, s in enumerate(signs) if s > 0]
+        negative = [j for j, s in enumerate(signs) if s < 0]
+        for i, j in product(positive, negative):
+            (vi, zi), (vj, zj) = rays[i], rays[j]
+            common = zi & zj
+            if common.bit_count() < dim - 2:
+                continue
+            if _containing(holders, common, everything) == 1 << i | 1 << j:
+                kept.append((_project(vj, signs[i], signs[j], vi), common | bit))
+        rays = kept
+    return rays
 
 
 def polytope_vertices(sys, max_n=MAX_ORACLE_N):
-    """All vertices, by exact enumeration of square tight subsystems."""
+    """All vertices, sorted: the extreme rays (x, t) of the homogenised cone
+    {a.x + b.t >= 0 for every constraint, t >= 0}, read as x / t.  The
+    polytope is bounded, so every extreme ray has t > 0."""
     if sys._vertices is not None:
         return sys._vertices
-    _check_oracle_bound(sys, max_n)
-    cons = sys.constraints
-    found = set()
-    for subset in combinations(range(len(cons)), sys.d):
-        sol = solve_square(
-            [cons[c].coeffs for c in subset], [-cons[c].const for c in subset]
-        )
-        if sol is None:
-            continue
-        if all(c.value_at(sol) >= 0 for c in cons):
-            found.add(sol)
-    verts = tuple(sorted(found))
-    tight = tuple(
-        sum(1 << c for c in range(len(cons)) if cons[c].value_at(v) == 0)
-        for v in verts
+    if sys.n > max_n:
+        raise ValueError(f"polyhedral oracle is capped at n <= {max_n}; got n = {sys.n}")
+    t_row = (0,) * sys.d + (1,)
+    found = sorted(
+        (tuple(Fraction(a, v[-1]) for a in v[:-1]), tight)
+        for v, tight in _extreme_rays(sys.rows + (t_row,), sys.d + 1)
     )
-    sys._vertices = verts
-    sys._tight_masks = tight
-    return verts
+    holders = _holders([tight for _, tight in found])
+    sys._vertices = tuple(point for point, _ in found)
+    sys._vertex_sets = tuple(holders.get(c, 0) for c in range(sys.num_constraints))
+    return sys._vertices
 
 
 class PolytopeFace:
@@ -283,18 +330,9 @@ class PolytopeFace:
     def is_empty(self):
         return self.vertex_mask == 0
 
-    def vertex_ids(self):
-        out = []
-        m = self.vertex_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            out.append(v)
-            m &= m - 1
-        return out
-
     def vertices(self):
         verts = polytope_vertices(self.system)
-        return tuple(verts[v] for v in self.vertex_ids())
+        return tuple(verts[v] for v in _bits(self.vertex_mask))
 
     def representative(self):
         """Average of the face's vertices: a relative-interior point."""
@@ -305,9 +343,6 @@ class PolytopeFace:
         return tuple(
             sum(p[c] for p in pts) / Fraction(count) for c in range(self.system.d)
         )
-
-    def contains(self, other):
-        return self.vertex_mask | other.vertex_mask == self.vertex_mask
 
     def __eq__(self, other):
         if not isinstance(other, PolytopeFace):
@@ -321,76 +356,36 @@ class PolytopeFace:
         return f"PolytopeFace(dim={self.dim}, vertices={bin(self.vertex_mask).count('1')})"
 
 
-def _make_face(sys, vertex_mask):
-    verts = polytope_vertices(sys)
-    tight = sys._tight_masks
-    all_cons = (1 << sys.num_constraints) - 1
-    if vertex_mask == 0:
-        return PolytopeFace(sys, 0, all_cons, -1)
-    t = all_cons
-    pts = []
-    m = vertex_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        t &= tight[v]
-        pts.append(verts[v])
-        m &= m - 1
-    return PolytopeFace(sys, vertex_mask, t, affine_rank(pts))
-
-
 def face_lattice(sys, max_n=MAX_ORACLE_N):
     """Every face of the polytope (including the empty face and the
-    polytope itself), enumerated by vertex-set closure.
+    polytope itself), sorted by vertex mask.
 
-    A vertex set is closed when it contains every vertex tight on all
-    constraints common to the set; faces are exactly the closed sets.
+    The faces are exactly the intersections of the faces on which single
+    constraints are tight: a nonempty face is the intersection of those
+    for the constraints tight on all of it, and an intersection of faces is
+    a face.  So the vertex sets are all ANDs of constraints' vertex sets.
+    The constraints tight on all vertices of a nonempty face cut out its
+    affine hull, so its dimension is d minus the rank of their rows.
     """
     if sys._faces is not None:
         return sys._faces
     verts = polytope_vertices(sys, max_n)
-    tight = sys._tight_masks
-    nv = len(verts)
-    all_cons = (1 << sys.num_constraints) - 1
-
-    def closure(vmask):
-        t = all_cons
-        m = vmask
-        while m:
-            v = (m & -m).bit_length() - 1
-            t &= tight[v]
-            m &= m - 1
-        out = 0
-        for u in range(nv):
-            if tight[u] & t == t:
-                out |= 1 << u
-        return out
-
-    seen = set()
-    queue = deque()
-    for v in range(nv):
-        c = closure(1 << v)
-        if c not in seen:
-            seen.add(c)
-            queue.append(c)
-    while queue:
-        face = queue.popleft()
-        for v in range(nv):
-            if not face >> v & 1:
-                c = closure(face | (1 << v))
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-    seen.add(0)  # the empty face
-    faces = tuple(_make_face(sys, vm) for vm in sorted(seen))
-    sys._faces = faces
-    return faces
+    found = {(1 << len(verts)) - 1, 0}
+    for vs in sys._vertex_sets:
+        found |= {f & vs for f in found}
+    faces = []
+    for vm in sorted(found):
+        tight = sum(1 << c for c, vs in enumerate(sys._vertex_sets) if vm & vs == vm)
+        dim = sys.d - _rank([sys.rows[c][:-1] for c in _bits(tight)]) if vm else -1
+        faces.append(PolytopeFace(sys, vm, tight, dim))
+    sys._faces = tuple(faces)
+    sys._face_of = {f.vertex_mask: f for f in faces}
+    return sys._faces
 
 
-def face_counts_by_dim(faces, include_empty=False):
-    counts = Counter(
-        f.dim for f in faces if include_empty or not f.is_empty
-    )
-    return dict(sorted(counts.items()))
+def face_counts_by_dim(faces):
+    """{dimension: number of nonempty faces}, by increasing dimension."""
+    return dict(sorted(Counter(f.dim for f in faces if not f.is_empty).items()))
 
 
 def phi(sys, face):
@@ -418,8 +413,8 @@ def phi(sys, face):
 
 
 def psi(diagram, face, system):
-    """Polytope face of a diagram face: set the constraints of all absent
-    edges to equality and canonicalize via the vertex incidence."""
+    """Polytope face of a diagram face: the vertices tight on the
+    constraints of all absent edges, looked up in the face lattice."""
     if isinstance(system, Spectrum):
         system = GCSystem(system)
     if system.spectrum.composition != diagram.composition:
@@ -427,17 +422,12 @@ def psi(diagram, face, system):
             f"spectrum composition {system.spectrum.composition} does not match "
             f"diagram composition {diagram.composition}"
         )
-    polytope_vertices(system)
-    target = 0
-    for idx, con in enumerate(system.constraints):
+    face_lattice(system)
+    vmask = (1 << len(system._vertices)) - 1
+    for con, vs in zip(system.constraints, system._vertex_sets):
         if not face.mask & diagram.edge_bit(*con.edge):
-            target |= 1 << idx
-    tight = system._tight_masks
-    vmask = 0
-    for v in range(len(system._vertices)):
-        if tight[v] & target == target:
-            vmask |= 1 << v
-    return _make_face(system, vmask)
+            vmask &= vs
+    return system._face_of[vmask]
 
 
 def representative_point(face, spectrum):
@@ -530,6 +520,27 @@ class IsoReport:
         )
 
 
+def inclusion_mismatch(left, right):
+    """First pair (a, b), in row-major order, on which the two families of
+    nonempty masks disagree about left[a] <= left[b] versus right[a] <=
+    right[b] as sets; None if they are ordered alike.
+
+    The up-set of a (all b with masks[a] <= masks[b]) is the AND, over the
+    bits of masks[a], of the bitsets of the masks holding that bit.  The
+    relations agree on all pairs iff the up-sets agree for every a; the
+    lowest bit of the first difference is the all-pairs scan's first hit.
+    """
+    everything = (1 << len(left)) - 1
+    held_left, held_right = _holders(left), _holders(right)
+    for a, (mask_left, mask_right) in enumerate(zip(left, right)):
+        differ = _containing(held_left, mask_left, everything) ^ _containing(
+            held_right, mask_right, everything
+        )
+        if differ:
+            return a, (differ & -differ).bit_length() - 1
+    return None
+
+
 def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
     """Check that the edge-wise face map is a dimension-preserving lattice
     isomorphism between the polytope's nonempty faces and the diagram's
@@ -543,10 +554,7 @@ def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
     diagram_masks = set(dfaces.masks.tolist())
 
     counterexample = None
-    images = []
-    for f in pfaces:
-        images.append(phi(sys, f))
-
+    images = [phi(sys, f) for f in pfaces]
     image_masks = [g.mask for g in images]
     bijection_ok = (
         len(set(image_masks)) == len(image_masks)
@@ -566,45 +574,32 @@ def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
                 counterexample = f"dim {f.dim} face maps to dim {g.dim} face"
             break
 
-    order_ok = True
-    for a, fa in enumerate(pfaces):
-        for b, fb in enumerate(pfaces):
-            lhs = fa.vertex_mask | fb.vertex_mask == fb.vertex_mask
-            rhs = image_masks[a] | image_masks[b] == image_masks[b]
-            if lhs != rhs:
-                order_ok = False
-                if counterexample is None:
-                    counterexample = (
-                        f"inclusion mismatch between faces #{a} and #{b}"
-                    )
-                break
-        if not order_ok:
-            break
+    mismatch = inclusion_mismatch([f.vertex_mask for f in pfaces], image_masks)
+    order_ok = mismatch is None
+    if not order_ok and counterexample is None:
+        counterexample = "inclusion mismatch between faces #{} and #{}".format(*mismatch)
 
     roundtrip_ok = True
     for f, g in zip(pfaces, images):
-        back = psi(diagram, g, sys)
-        if back.vertex_mask != f.vertex_mask:
+        if psi(diagram, g, sys) != f:
             roundtrip_ok = False
             if counterexample is None:
                 counterexample = "psi(phi(F)) != F"
             break
     if roundtrip_ok:
         for g in dfaces:
-            there = psi(diagram, g, sys)
-            back = phi(sys, there)
+            back = phi(sys, psi(diagram, g, sys))
             if back is BOTTOM or back.mask != g.mask:
                 roundtrip_ok = False
                 if counterexample is None:
                     counterexample = "phi(psi(gamma)) != gamma"
                 break
 
-    polytope_counts = Counter(f.dim for f in pfaces)
     return IsoReport(
         spectrum=tuple(str(v) for v in spectrum.values),
         composition=spectrum.composition,
         diagram_counts=tuple(sorted(dfaces.census().items())),
-        polytope_counts=tuple(sorted(polytope_counts.items())),
+        polytope_counts=tuple(face_counts_by_dim(pfaces).items()),
         face_count=len(pfaces),
         bijection_ok=bijection_ok,
         order_ok=order_ok,

@@ -193,6 +193,9 @@ WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
         (["faces", "--k", "3,3"], "(bound 22); use `gcladder fvector`"),
         (["fvector", "--k", ",".join(["1"] * 13)], "n = 13 exceeds the bound n <= 12"),
         (["fvector", "--k", "6,7", "--golden", GOLDEN], "n <= 12"),
+        (["verify", "iso", "--lambda", "6,5,4,3,2,1", "--max-n", "6"], "n <= 4; got n = 6"),
+        (["verify", "iso", "--lambda", "4,3,2,1,0"], "n <= 4; got n = 5"),
+        (["verify", "iso", "--lambda", "3,2,1,0", "--max-n", "3"], "n <= 3; got n = 4"),
     ],
 )
 def test_refusal_contract(argv, reason, monkeypatch, capsys):

@@ -1,11 +1,12 @@
 import functools
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcladder import clear_caches
+from gcladder import clear_caches, genfunc, words
 from gcladder.genfunc import (
     DiffOperator,
     TPoly,
@@ -276,3 +277,20 @@ class TestPde:
 
 def test_transform_round_trip_check():
     assert check_transform_round_trip(4, 3) == []
+
+
+def test_transform_round_trip_reports_like_a_per_k_scan(monkeypatch):
+    # a d_transform that is wrong wherever k_1 = 2, on tuples and on columns
+    def broken(k, w):
+        return tuple(x + (i == 0) * (k[0] == 2) for i, x in enumerate(words.d_transform(k, w)))
+
+    monkeypatch.setattr(genfunc, "d_transform", broken)
+    want = [
+        (s, w, k)
+        for s in range(1, 4)
+        for w in all_words(s - 1)
+        for k in product(range(4), repeat=s)
+        if words.r_transform(tuple(x + 1 for x in broken(k, w)), w) != k
+    ]
+    assert len(want) == sum(3 ** (s - 1) * 4 ** (s - 1) for s in range(1, 4))
+    assert check_transform_round_trip(3, 3) == want

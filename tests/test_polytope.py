@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from gcladder.genfunc import f_vector
 from gcladder.ladder import (
     BOTTOM,
     DiagramFace,
@@ -16,6 +19,7 @@ from gcladder.polytope import (
     canonical_spectrum,
     face_counts_by_dim,
     face_lattice,
+    inclusion_mismatch,
     phi,
     polytope_vertices,
     psi,
@@ -32,6 +36,60 @@ def halved_spectrum(comp):
     for i, part in enumerate(comp, start=1):
         values.extend([Fraction(2 * (s - i) + 1, 2)] * part)
     return Spectrum(values)
+
+
+def compositions_up_to(n):
+    return [comp for m in range(1, n + 1) for comp in compositions_of(m)]
+
+
+# References: the square-subsystem vertex scan, the Fraction elimination
+# for affine rank and the all-pairs inclusion scan that the oracle replaced.
+
+
+def reduce_rows(rows):
+    """Reduced row echelon form of Fraction rows: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[piv] = rows[piv], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def subsystem_scan_vertices(sys):
+    """Vertices as the feasible solutions of all square tight subsystems."""
+    cons = sys.constraints
+    found = set()
+    for subset in combinations(cons, sys.d):
+        rows, pivots = reduce_rows([(*c.coeffs, -c.const) for c in subset])
+        if len(pivots) < sys.d:
+            continue  # singular
+        point = tuple(rows[r][sys.d] for r in range(sys.d))
+        if all(c.value_at(point) >= 0 for c in cons):
+            found.add(point)
+    return tuple(sorted(found))
+
+
+def affine_rank(points):
+    base = points[0]
+    return len(reduce_rows([[a - b for a, b in zip(p, base)] for p in points[1:]])[1])
+
+
+def all_pairs_mismatch(left, right):
+    for a in range(len(left)):
+        for b in range(len(left)):
+            if (left[a] | left[b] == left[b]) != (right[a] | right[b] == right[b]):
+                return a, b
+    return None
 
 
 class TestSpectrum:
@@ -82,12 +140,40 @@ class TestSystem:
         assert counts == {0: 3, 1: 3, 2: 1}
 
     def test_oracle_bound(self):
-        sys = build_system(canonical_spectrum((1, 1, 1, 1, 1)))
+        sys = build_system(canonical_spectrum((1, 1, 1, 1, 1, 1)))
         with pytest.raises(ValueError, match="capped"):
             face_lattice(sys)
 
+    @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum])
+    def test_vertices_match_subsystem_scan(self, spectrum_of):
+        comps = compositions_up_to(3) + [(1, 1, 1, 1)]
+        for comp in comps:
+            sys = build_system(spectrum_of(comp))
+            verts = polytope_vertices(sys)
+            assert verts == subsystem_scan_vertices(sys), comp
+            # the zero sets the enumeration carries are the tight constraints
+            for c, con in enumerate(sys.constraints):
+                tight = {v for v, p in enumerate(verts) if con.value_at(p) == 0}
+                assert {v for v in range(len(verts)) if sys._vertex_sets[c] >> v & 1} == tight
+
 
 class TestLattice:
+    def test_face_counts_at_n5(self):
+        # the second independent count of every composition of 5
+        comps = list(compositions_of(5))
+        assert len(comps) == 16
+        for comp in comps:
+            faces = face_lattice(build_system(canonical_spectrum(comp)), max_n=5)
+            assert face_counts_by_dim(faces) == dict(enumerate(f_vector(comp))), comp
+
+    @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum])
+    def test_dimension_is_affine_rank(self, spectrum_of):
+        for comp in compositions_up_to(3):
+            sys = build_system(spectrum_of(comp))
+            for face in face_lattice(sys):
+                if not face.is_empty:
+                    assert face.dim == affine_rank(face.vertices()), (comp, face)
+
     def test_210_counts(self):
         sys = build_system(Spectrum((2, 1, 0)))
         counts = face_counts_by_dim(face_lattice(sys))
@@ -260,6 +346,28 @@ class TestIsomorphism:
                 if not f.is_empty
             }
             assert image_first == image_second
+
+    def test_order_check_matches_all_pairs_scan(self):
+        rng = random.Random(7)
+        for comp in compositions_up_to(4):
+            sys = build_system(canonical_spectrum(comp))
+            pfaces = [f for f in face_lattice(sys) if not f.is_empty]
+            left = [f.vertex_mask for f in pfaces]
+            right = [phi(sys, f).mask for f in pfaces]
+            assert inclusion_mismatch(left, right) is None
+            assert all_pairs_mismatch(left, right) is None
+            if len(right) < 2:
+                continue
+            for _ in range(3):
+                a, b = rng.sample(range(len(right)), 2)
+                swapped = list(right)
+                swapped[a], swapped[b] = right[b], right[a]
+                assert inclusion_mismatch(left, swapped) == all_pairs_mismatch(left, swapped)
+                merged = list(right)
+                merged[a] = right[b]
+                want = all_pairs_mismatch(left, merged)
+                assert want is not None
+                assert inclusion_mismatch(left, merged) == want, comp
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_compositions_small(self, n):
