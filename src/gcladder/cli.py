@@ -41,6 +41,14 @@ ORACLE_EDGE_BOUND = 20
 MAX_FVECTOR_N = 12
 DEFAULT_DEGREE = 6
 PDE_S_RANGE = (1, 2, 3)
+# Largest --s and --degree that `verify pde`, `gkt` and `all` accept.  The
+# series inputs are compositions with n <= degree, so the degree bound is
+# the fvector bound.  On a 2-core Xeon the slowest accepted check,
+# `verify pde --s 5 --degree 12`, takes about 2 s (the word-action check of
+# `verify all --degree 12` about 1.8 s); s = 6 takes about 5 s at degree
+# 12, and each further unit of degree costs about 2-3x more.
+MAX_PDE_S = 5
+MAX_PDE_DEGREE = MAX_FVECTOR_N
 _WORD_LETTER = {(1, 0): "R", (0, 1): "U", (1, 1): "B"}
 
 
@@ -254,6 +262,11 @@ def cmd_verify(args):
                 raise ValueError("s must be positive")
             if args.degree < s:
                 raise ValueError("truncation degree must be at least s")
+            if s > MAX_PDE_S or args.degree > MAX_PDE_DEGREE:
+                raise ValueError(
+                    f"--s {s} --degree {args.degree} exceeds the bound "
+                    f"s <= {MAX_PDE_S}, degree <= {MAX_PDE_DEGREE}"
+                )
     golden = None
     if args.target in ("oracle", "all"):
         if args.max_n is not None:

@@ -16,10 +16,11 @@ partial derivatives and multiplication by t; applying an operator of order
 m to a truncation of degree N leaves coefficients that are trustworthy
 only up to N - m, and the series tracks that bound explicitly.
 
-The verification entry points check, coefficient by coefficient, that the
-truncated generating functions are annihilated by the expected operators.
-All arithmetic is exact; a nonzero residual is a failure report, never an
-approximation artifact.
+The verification entry points check, coefficient by coefficient and
+target-first (``DiffOperator.apply_to_egf``, never building the series),
+that the truncated generating functions are annihilated by the expected
+operators.  All arithmetic is exact; a nonzero residual is a failure
+report, never an approximation artifact.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from math import lcm
+from operator import add
 
 import numpy as np
 
@@ -185,14 +187,16 @@ def _factorial_product(exps):
 
 
 def bounded_exponents(num_vars, max_total):
-    """All exponent vectors of the given length with total degree bound."""
+    """Exponent vectors of the given length and bounded total, lexicographic."""
+    if max_total < 0:
+        return []
     if num_vars == 0:
-        return [()] if max_total >= 0 else []
-    out = []
-    for exps in product(range(max_total + 1), repeat=num_vars):
-        if sum(exps) <= max_total:
-            out.append(exps)
-    return out
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(max_total + 1)
+        for rest in bounded_exponents(num_vars - 1, max_total - first)
+    ]
 
 
 class TruncatedSeries:
@@ -263,12 +267,6 @@ class TruncatedSeries:
             self.validity_degree,
             {k: TPoly((p.coefficient(0),)) for k, p in self.terms.items()},
         )
-
-    def truncated(self, validity_degree):
-        if validity_degree > self.validity_degree:
-            raise ValueError("cannot raise a truncation's validity degree")
-        terms = {k: p for k, p in self.terms.items() if sum(k) <= validity_degree}
-        return TruncatedSeries(self.num_vars, validity_degree, terms)
 
     def nonzero_terms(self):
         return sorted(self.terms.items())
@@ -454,6 +452,47 @@ class DiffOperator:
                 acc[new_exps] = contrib if prev is None else prev + contrib
         return TruncatedSeries(self.num_vars, validity, acc)
 
+    def apply_to_egf(self, exp_coefficient, degree, zero_vars=()):
+        """``restrict_to_zero(self.apply(series), zero_vars)``, computed
+        target-first, for the series truncated at ``degree`` whose
+        coefficient of x^k is ``exp_coefficient(k) / k!``.
+
+        A derivative d^o maps x^(k+o)/(k+o)! to x^k/k!, so each output
+        exponent k (zero at ``zero_vars``, total within the validity
+        degree) takes from each operator monomial c t^p d^o exactly
+        c t^p ``exp_coefficient(k + o)``, then one division by k!.  Only
+        the inputs so named are looked up.
+        """
+        m = self.order
+        if m > degree:
+            raise ValueError(
+                f"operator order {m} exceeds series validity degree {degree}"
+            )
+        validity = degree - m
+        # scale the operator to integer coefficients; undone with the k!
+        denom = lcm(*(c.denominator for c in self.terms.values()))
+        monomials = [
+            (t_pow, orders, int(c * denom)) for (t_pow, orders), c in self.terms.items()
+        ]
+        zero = set(zero_vars)
+        if not zero <= set(range(self.num_vars)):
+            raise ValueError(f"variable indices {sorted(zero)} out of range")
+        keep = [i for i in range(self.num_vars) if i not in zero]
+        terms = {}
+        for kept in bounded_exponents(len(keep), validity):
+            target = [0] * self.num_vars
+            for i, e in zip(keep, kept):
+                target[i] = e
+            acc = []
+            for t_pow, orders, c in monomials:
+                coeffs = exp_coefficient(tuple(map(add, target, orders))).coeffs
+                if len(acc) < t_pow + len(coeffs):
+                    acc.extend([0] * (t_pow + len(coeffs) - len(acc)))
+                for j, a in enumerate(coeffs, t_pow):
+                    acc[j] += c * a
+            terms[kept] = TPoly(acc) * Fraction(1, denom * _factorial_product(kept))
+        return TruncatedSeries(len(keep), validity, terms)
+
 
 # Interleaved variable layout for a 2s-1 variable series:
 # (x_1, y_1, x_2, y_2, ..., y_{s-1}, x_s).
@@ -547,16 +586,18 @@ def _residual_tuple(series):
     return tuple((exps, str(poly)) for exps, poly in series.nonzero_terms())
 
 
-def verify_generating_pde(s, degree):
-    """Check that the interleaved EGF truncation is annihilated by the
-    mixed-derivative-minus-product operator, restricted to y = 0."""
+def _check_pde_args(s, degree):
     if s < 1:
         raise ValueError("s must be positive")
     if degree < s:
         raise ValueError("truncation degree must be at least s")
-    series = fpolynomial_egf(2 * s - 1, degree)
-    result = pde_operator(s).apply(series)
-    result = restrict_to_zero(result, interleaved_y_vars(s))
+
+
+def verify_generating_pde(s, degree):
+    """Check that the interleaved EGF truncation is annihilated by the
+    mixed-derivative-minus-product operator, restricted to y = 0."""
+    _check_pde_args(s, degree)
+    result = pde_operator(s).apply_to_egf(f_polynomial, degree, interleaved_y_vars(s))
     return PdeReport(
         "fpolynomial-egf", s, degree, result.validity_degree, _residual_tuple(result)
     )
@@ -564,12 +605,10 @@ def verify_generating_pde(s, degree):
 
 def verify_vertex_pde(s, degree):
     """Same check for the vertex-count EGF and its t-free operator."""
-    if s < 1:
-        raise ValueError("s must be positive")
-    if degree < s:
-        raise ValueError("truncation degree must be at least s")
-    series = vertex_count_egf(s, degree)
-    result = vertex_pde_operator(s).apply(series)
+    _check_pde_args(s, degree)
+    result = vertex_pde_operator(s).apply_to_egf(
+        lambda k: TPoly(f_polynomial(k).coeffs[:1]), degree
+    )
     return PdeReport(
         "vertex-egf", s, degree, result.validity_degree, _residual_tuple(result)
     )
@@ -587,7 +626,8 @@ def expected_word_action(s, k, e, w):
     t^|w| x^(d)/d! when e marks the BOTH positions and d = d_transform(k, w)
     is non-negative; zero otherwise."""
     d = d_transform(tuple(k), w)
-    validity = sum(k) + sum(e) - word_operator(s, w).order
+    # every letter contributes exactly one derivative
+    validity = sum(k) + sum(e) - len(w)
     if tuple(e) == word_tilde(w) and all(x >= 0 for x in d):
         poly = TPoly.ONE.shift(word_weight(w)) * Fraction(1, _factorial_product(d))
         return TruncatedSeries(s, validity, {tuple(d): poly})
@@ -601,9 +641,10 @@ def check_word_action(s, max_degree):
     yv = interleaved_y_vars(s)
     for w in all_words(s - 1):
         op = word_operator(s, w)
+        order = op.order
         for k in bounded_exponents(s, max_degree):
             for e in bounded_exponents(s - 1, max_degree - sum(k)):
-                if op.order > sum(k) + sum(e):
+                if order > sum(k) + sum(e):
                     continue
                 got = restrict_to_zero(op.apply(monomial_series(s, k, e)), yv)
                 want = expected_word_action(s, k, e, w)

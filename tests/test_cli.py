@@ -135,6 +135,13 @@ def test_verify_gkt(capsys):
     assert code == 0 and "vertex-egf" in out
 
 
+def test_verify_pde_at_the_work_bound(capsys):
+    code, out = run(capsys, "verify", "gkt", "--s", "5", "--degree", "6")
+    assert code == 0 and "PASS vertex-egf s=5 truncation=6" in out
+    code, out = run(capsys, "verify", "pde", "--s", "1", "--degree", "12")
+    assert code == 0 and "PASS fpolynomial-egf s=1 truncation=12" in out
+
+
 def test_verify_oracle_small(capsys):
     code, out = run(capsys, "verify", "oracle", "--max-n", "3")
     assert code == 0 and "result: PASS" in out
@@ -196,6 +203,12 @@ WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
         (["verify", "iso", "--lambda", "6,5,4,3,2,1", "--max-n", "6"], "n <= 4; got n = 6"),
         (["verify", "iso", "--lambda", "4,3,2,1,0"], "n <= 4; got n = 5"),
         (["verify", "iso", "--lambda", "3,2,1,0", "--max-n", "3"], "n <= 3; got n = 4"),
+        (["verify", "pde", "--s", "12", "--degree", "12"], "bound s <= 5, degree <= 12"),
+        (["verify", "gkt", "--s", "6", "--degree", "8"], "bound s <= 5, degree <= 12"),
+        (["verify", "pde", "--degree", "13"], "--s 1 --degree 13 exceeds the bound"),
+        (["verify", "gkt", "--s", "2", "--degree", "13"], "degree <= 12"),
+        (["verify", "all", "--degree", "13"], "degree <= 12"),
+        (["verify", "all", "--s", "6", "--degree", "6"], "s <= 5"),
     ],
 )
 def test_refusal_contract(argv, reason, monkeypatch, capsys):
@@ -205,6 +218,9 @@ def test_refusal_contract(argv, reason, monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_isomorphism", no_check)
     monkeypatch.setattr(cli, "brute_force_faces", no_check)
     monkeypatch.setattr(cli, "f_polynomial", no_check)
+    monkeypatch.setattr(cli, "verify_generating_pde", no_check)
+    monkeypatch.setattr(cli, "verify_vertex_pde", no_check)
+    monkeypatch.setattr(cli, "check_word_action", no_check)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from gcladder import clear_caches, genfunc, words
 from gcladder.genfunc import (
     DiffOperator,
+    PdeReport,
     TPoly,
     TruncatedSeries,
     _f_polynomial_reduced,
+    bounded_exponents,
     check_operator_expansion,
     check_transform_round_trip,
     check_word_action,
@@ -180,6 +182,16 @@ class TestSeries:
         e2 = vertex_count_egf(2, 3)
         assert e2.coefficient((1, 1)) == TPoly((2,))
 
+    def test_bounded_exponents_match_product_filter(self):
+        for num_vars in range(5):
+            for max_total in range(-1, 6):
+                want = [
+                    exps
+                    for exps in product(range(max_total + 1), repeat=num_vars)
+                    if sum(exps) <= max_total
+                ]
+                assert bounded_exponents(num_vars, max_total) == want
+
 
 class TestOperators:
     def test_identity(self):
@@ -202,6 +214,17 @@ class TestOperators:
         heavy = DiffOperator.partial(2, 0) * DiffOperator.partial(2, 1)
         with pytest.raises(ValueError, match="order"):
             heavy.apply(series)
+
+    @pytest.mark.parametrize("zero_vars", [(), (1,), (0, 2)])
+    def test_apply_to_egf_matches_dense(self, zero_vars):
+        # rational coefficients and t powers, which the PDE operators lack
+        d = [DiffOperator.partial(3, v) for v in range(3)]
+        t = DiffOperator.t_times(3)
+        op = Fraction(1, 2) * t * d[0] * d[1] - Fraction(2, 3) * d[2] * d[2] + t * t
+        want = restrict_to_zero(op.apply(fpolynomial_egf(3, 5)), zero_vars)
+        assert op.apply_to_egf(f_polynomial, 5, zero_vars) == want
+        with pytest.raises(ValueError, match="out of range"):
+            op.apply_to_egf(f_polynomial, 5, (3,))
 
     def test_operators_commute(self):
         a = DiffOperator.partial(3, 0)
@@ -226,6 +249,10 @@ class TestOperators:
         assert word_operator(2, ((1, 1),)).order == 1
         assert word_operator(2, ((1, 0),)).order == 1
         assert word_operator(3, ((1, 0), (0, 1))).order == 2
+        # the closed form expected_word_action relies on
+        for s in range(1, 5):
+            for w in all_words(s - 1):
+                assert word_operator(s, w).order == len(w)
 
     def test_word_action_closed_form_spot(self):
         # a BOTH word hitting its matching monomial
@@ -250,6 +277,32 @@ class TestOperators:
         assert check_word_action(s, 4) == []
 
 
+def _report(identity, s, degree, result):
+    residual = tuple((exps, str(poly)) for exps, poly in result.nonzero_terms())
+    return PdeReport(identity, s, degree, result.validity_degree, residual)
+
+
+def dense_generating_report(s, degree):
+    """Reference: the whole truncated EGF, pushed through the operator."""
+    series = fpolynomial_egf(2 * s - 1, degree)
+    result = restrict_to_zero(genfunc.pde_operator(s).apply(series), interleaved_y_vars(s))
+    return _report("fpolynomial-egf", s, degree, result)
+
+
+def dense_vertex_report(s, degree):
+    result = genfunc.vertex_pde_operator(s).apply(vertex_count_egf(s, degree))
+    return _report("vertex-egf", s, degree, result)
+
+
+def without_last_monomial(make_operator):
+    def broken(s):
+        op = make_operator(s)
+        last = max(op.terms)
+        return DiffOperator(op.num_vars, {k: c for k, c in op.terms.items() if k != last})
+
+    return broken
+
+
 class TestPde:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_generating_identity(self, s):
@@ -260,6 +313,36 @@ class TestPde:
     def test_vertex_identity(self, s):
         report = verify_vertex_pde(s, 5)
         assert report.passed
+
+    @pytest.mark.parametrize("s", [4, 5])
+    def test_identities_at_degree_8(self, s):
+        assert verify_generating_pde(s, 8).passed
+        assert verify_vertex_pde(s, 8).passed
+
+    @pytest.mark.parametrize("broken", [None, "operator", "f_polynomial"])
+    @pytest.mark.parametrize(
+        "check, dense, operator_name",
+        [
+            (verify_generating_pde, dense_generating_report, "pde_operator"),
+            (verify_vertex_pde, dense_vertex_report, "vertex_pde_operator"),
+        ],
+    )
+    def test_target_first_matches_dense(self, check, dense, operator_name, broken, monkeypatch):
+        if broken == "operator":
+            make = without_last_monomial(getattr(genfunc, operator_name))
+            monkeypatch.setattr(genfunc, operator_name, make)
+        elif broken == "f_polynomial":
+            # one extra face in every composition of 3
+            def patched(k, true=genfunc.f_polynomial):
+                return true(k) + (TPoly.ONE if sum(k) == 3 else TPoly.ZERO)
+
+            monkeypatch.setattr(genfunc, "f_polynomial", patched)
+        for s in range(1, 4):
+            for degree in range(s, 7):
+                want = dense(s, degree)
+                assert check(s, degree) == want
+                if broken is None or degree == 6:
+                    assert want.passed == (broken is None)
 
     def test_wrong_operator_reports_residual(self):
         # dropping the interaction product must leave a nonzero residual
