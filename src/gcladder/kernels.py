@@ -1,10 +1,17 @@
 """Subset-filter kernel backing the brute-force face oracle.
 
 Scanning all 2^|E| edge subsets of a diagram is the one hot numeric loop in
-the package (about a million subsets for the largest diagrams the oracle
-accepts).  The scan is vectorized with numpy: subsets are processed in
-batches, each batch as one bit-matrix per vertex for forward and backward
-reachability.
+the package (about four million subsets for the largest diagrams the CLI
+oracle accepts).  The scan is bit-sliced: lane ``l`` of ``uint64`` word
+``j`` stands for subset ``64 j + l``, so every numpy pass over the forward
+and backward reachability rows (one word array per vertex) and over the
+keep mask decides 64 subsets per element.  Edges 0-5 select the lane
+inside a word and are fixed lane patterns; the next edges up to the batch
+width select the word inside a batch.  An edge above the batch width is the
+same for every subset of a batch, so it is a per-batch flag: absent, it
+skips its propagation step; present, it makes the step a plain OR; and a
+terminal whose in-edges are all absent flags rejects the whole batch
+without array work.
 
 Everything else in the package is exact rational or big-integer arithmetic
 and stays in plain Python.
@@ -12,44 +19,139 @@ and stays in plain Python.
 
 import numpy as np
 
-# Subsets per batch; bounds the size of the per-vertex reachability rows.
-_BATCH = 1 << 16
+# Subsets per batch: a power of two, at least one word (64).  Bounds the
+# size of the per-vertex reachability rows (2^18 subsets = 4,096 words).
+_BATCH = 1 << 18
+
+_LANE_BITS = 6
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_ZERO = np.uint64(0)
+# Lane pattern of edge e < 6: bit l is set when lane l's subset holds edge e.
+_LANE_PATTERNS = tuple(
+    np.uint64(sum(1 << lane for lane in range(64) if lane >> e & 1))
+    for e in range(_LANE_BITS)
+)
 
 
 def accepted_face_masks(diagram):
-    """Sorted masks of all face subsets of the diagram's edge set."""
-    if diagram.num_edges == 0:
-        return np.zeros(1, np.int64)
-    tails = np.asarray(diagram.edge_tails, dtype=np.int64)
-    heads = np.asarray(diagram.edge_heads, dtype=np.int64)
-    topo = np.asarray(diagram.edges_topo, dtype=np.int64)
-    term_in = np.asarray(diagram.terminal_in_masks, dtype=np.int64)
+    """Sorted masks of all face subsets of the diagram's edge set.
+
+    The rules are those of ``ladder.is_face``: every terminal is covered, and
+    every chosen edge has a forward-reachable tail and a backward-reachable
+    head inside the subset.
+    """
     n_edges = diagram.num_edges
-    n_verts = len(diagram.vertices)
+    if n_edges == 0:
+        return np.zeros(1, np.int64)
     total = 1 << n_edges
+    batch = min(_BATCH, total)
+    low = batch.bit_length() - 1  # edges that vary inside one batch
+    n_words = max(batch >> _LANE_BITS, 1)
+    # A diagram with fewer than six edges fills only the first 2^|E| lanes.
+    first = _ONES if batch >= 64 else np.uint64((1 << batch) - 1)
+    index = np.arange(n_words, dtype=np.uint64)
+    has = [
+        _LANE_PATTERNS[e] if e < _LANE_BITS
+        else np.where(index >> np.uint64(e - _LANE_BITS) & np.uint64(1), _ONES, _ZERO)
+        for e in range(low)
+    ]
+    scan = _Scan(diagram, has, n_words)
     chunks = []
-    for lo in range(0, total, _BATCH):
-        masks = np.arange(lo, min(lo + _BATCH, total), dtype=np.int64)
-        keep = np.ones(masks.shape, dtype=bool)
-        for tm in term_in:
-            keep &= (masks & tm) != 0
-        masks = masks[keep]
-        if masks.size == 0:
-            continue
-        has = [((masks >> e) & 1).astype(bool) for e in range(n_edges)]
-        fwd = np.zeros((n_verts, masks.size), dtype=bool)
-        fwd[diagram.origin_index] = True
-        for e in topo:
-            np.logical_or(fwd[heads[e]], has[e] & fwd[tails[e]], out=fwd[heads[e]])
-        bwd = np.zeros((n_verts, masks.size), dtype=bool)
-        for t in diagram.terminal_indices:
-            bwd[t] = True
-        for e in topo[::-1]:
-            np.logical_or(bwd[tails[e]], has[e] & bwd[heads[e]], out=bwd[tails[e]])
-        good = np.ones(masks.size, dtype=bool)
-        for e in range(n_edges):
-            good &= ~has[e] | (fwd[tails[e]] & bwd[heads[e]])
-        chunks.append(masks[good])
+    for b in range(total >> low):
+        # flags[e]: None for an edge that varies inside the batch, else
+        # whether the edge is in every subset of batch b or in none.
+        flags = [None] * low + [bool(b >> (e - low) & 1) for e in range(low, n_edges)]
+        if scan.batch(flags, first):
+            chunks.append(_lane_masks(scan.keep, b * batch))
     if not chunks:
         return np.empty(0, np.int64)
     return np.concatenate(chunks)
+
+
+class _Scan:
+    """The word rows of one diagram's scan: reachability per vertex, the keep
+    mask, one scratch row, and the patterns of the edges that vary inside a
+    batch.  Every batch reuses them; rows allocated per batch made a
+    standalone 22-edge scan up to twice as slow, as the allocator handed
+    the freed rows back to the system between batches."""
+
+    def __init__(self, diagram, has, n_words):
+        self.diagram = diagram
+        self.has = has
+        self.lacks = [~h for h in has]
+        self.fwd = np.empty((len(diagram.vertices), n_words), np.uint64)
+        self.bwd = np.empty((len(diagram.vertices), n_words), np.uint64)
+        self.keep = np.empty(n_words, np.uint64)
+        self.tmp = np.empty(n_words, np.uint64)
+
+    def batch(self, flags, first):
+        """Set ``keep`` to the faces of one batch, starting from the lanes
+        in ``first``; False when the flags alone rule out every subset."""
+        d, has, keep, tmp = self.diagram, self.has, self.keep, self.tmp
+        keep[:] = first
+        for t in d.terminal_indices:
+            in_edges = d.in_edges[t]
+            if any(flags[e] for e in in_edges):
+                continue
+            varying = [e for e in in_edges if flags[e] is None]
+            if not varying:
+                return False
+            cover = has[varying[0]]
+            for e in varying[1:]:
+                cover = np.bitwise_or(cover, has[e], out=tmp)
+            keep &= cover
+        tails, heads, topo = d.edge_tails, d.edge_heads, d.edges_topo
+        fwd = self._reach(self.fwd, [d.origin_index], topo, tails, heads, flags)
+        bwd = self._reach(self.bwd, d.terminal_indices, topo[::-1], heads, tails, flags)
+        for e, flag in enumerate(flags):
+            if flag is False:
+                continue
+            t, h = tails[e], heads[e]
+            on_path = fwd[t] and bwd[h]
+            if flag:
+                if not on_path:
+                    return False
+                keep &= self.fwd[t]
+                keep &= self.bwd[h]
+            elif on_path:
+                np.bitwise_and(self.fwd[t], self.bwd[h], out=tmp)
+                tmp |= self.lacks[e]
+                keep &= tmp
+            else:
+                keep &= self.lacks[e]
+        return True
+
+    def _reach(self, reach, seeds, order, src, dst, flags):
+        """Fill ``reach[v]`` with the subsets in which v is reached from a
+        seed along chosen edges taken in ``order``; returns which vertices
+        are reached in some subset (the other rows are left unset)."""
+        live = [False] * len(reach)
+        for v in seeds:
+            reach[v] = _ONES
+            live[v] = True
+        for e in order:
+            s, t = src[e], dst[e]
+            if not live[s] or flags[e] is False:
+                continue
+            if not live[t]:
+                if flags[e]:
+                    reach[t] = reach[s]
+                else:
+                    np.bitwise_and(self.has[e], reach[s], out=reach[t])
+                live[t] = True
+            elif flags[e]:
+                np.bitwise_or(reach[t], reach[s], out=reach[t])
+            else:
+                np.bitwise_and(self.has[e], reach[s], out=self.tmp)
+                np.bitwise_or(reach[t], self.tmp, out=reach[t])
+        return live
+
+
+def _lane_masks(keep, base):
+    """Increasing subset masks of the set lanes of ``keep``, offset by ``base``."""
+    words = np.flatnonzero(keep)
+    bits = np.unpackbits(
+        keep[words].astype("<u8").view(np.uint8), bitorder="little"
+    ).reshape(-1, 64)
+    rows, lanes = np.nonzero(bits)
+    return base + 64 * words[rows].astype(np.int64) + lanes.astype(np.int64)

@@ -1,12 +1,45 @@
+import numpy as np
 import pytest
 
 from gcladder import kernels
-from gcladder.ladder import build_diagram, is_face
+from gcladder.ladder import build_diagram, compositions_with_edge_bound, is_face
+
+# Diagrams of 0-12 edges: an empty scan, a partial first word (|E| < 6),
+# exactly one word (|E| = 6) and several words.
+SMALL = [()] + compositions_with_edge_bound(12)
 
 
-@pytest.mark.parametrize("comp", [(1, 1), (2, 1), (1, 1, 1), (3, 1)])
-def test_backend_matches_scalar_recognizer(comp):
-    d = build_diagram(comp)
+def _scalar_faces(d):
+    return [m for m in range(1 << d.num_edges) if is_face(d, m)]
+
+
+def _check_scan(d):
     masks = kernels.accepted_face_masks(d)
-    expected = [m for m in range(1 << d.num_edges) if is_face(d, m)]
-    assert masks.tolist() == expected
+    assert masks.dtype == np.int64
+    assert np.all(masks[1:] > masks[:-1])
+    assert masks.tolist() == _scalar_faces(d)
+
+
+def test_small_diagrams_reach_every_scan_path():
+    edges = {build_diagram(c).num_edges for c in SMALL}
+    assert {0, 6, 12} <= edges
+    assert any(0 < e < 6 for e in edges)
+    # At 64 subsets per batch, every in-edge of one terminal of (1, 1, 1) is
+    # a per-batch flag, so the batches without it fail terminal coverage
+    # before any array work.
+    d = build_diagram((1, 1, 1))
+    assert any(all(e >= 6 for e in d.in_edges[t]) for t in d.terminal_indices)
+
+
+@pytest.mark.parametrize("comp", SMALL)
+def test_backend_matches_scalar_recognizer(comp):
+    _check_scan(build_diagram(comp))
+
+
+# 64 is the smallest batch (one word, no word-index edges); at 128 edge 6
+# selects the word and every higher edge is a per-batch flag.
+@pytest.mark.parametrize("batch", [64, 128])
+@pytest.mark.parametrize("comp", SMALL)
+def test_scan_matches_scalar_recognizer_in_small_batches(monkeypatch, comp, batch):
+    monkeypatch.setattr(kernels, "_BATCH", batch)
+    _check_scan(build_diagram(comp))

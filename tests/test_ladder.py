@@ -161,6 +161,22 @@ def test_brute_force_matches_enumeration(comp):
     assert np.array_equal(brute.dims, rec.dims)
 
 
+# The scan is not capped at the CLI bound: the 17 diagrams of 23-28 edges take
+# about three seconds in all, and give a second, independent count for 15 of
+# the 16 compositions of 5.
+@pytest.mark.parametrize(
+    "comp",
+    [c for c in compositions_with_edge_bound(28) if diagram_edge_count(c) > MAX_BRUTE_FORCE_EDGES],
+)
+def test_brute_force_past_cli_bound(comp):
+    d = build_diagram(comp)
+    brute = brute_force_faces(d, max_edges=28)
+    rec = enumerate_faces(d)
+    assert np.array_equal(brute.masks, rec.masks)
+    assert np.array_equal(brute.dims, rec.dims)
+    assert brute.census() == {i: c for i, c in enumerate(f_vector(comp)) if c}
+
+
 def test_face_set_len_and_indexing():
     d = build_diagram((2, 1))
     faces = enumerate_faces(d)
