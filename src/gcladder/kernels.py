@@ -55,96 +55,92 @@ def accepted_face_masks(diagram):
         else np.where(index >> np.uint64(e - _LANE_BITS) & np.uint64(1), _ONES, _ZERO)
         for e in range(low)
     ]
-    scan = _Scan(diagram, has, n_words)
+    lacks = [~h for h in has]
+    # Word rows reused by every batch: reachability per vertex, the keep
+    # mask and one scratch row.  Rows allocated per batch made a standalone
+    # 22-edge scan up to twice as slow, as the allocator handed the freed
+    # rows back to the system between batches.
+    n_vertices = len(diagram.vertices)
+    fwd = np.empty((n_vertices, n_words), np.uint64)
+    bwd = np.empty((n_vertices, n_words), np.uint64)
+    keep = np.empty(n_words, np.uint64)
+    rows = (fwd, bwd, keep, np.empty(n_words, np.uint64))
     chunks = []
     for b in range(total >> low):
         # flags[e]: None for an edge that varies inside the batch, else
         # whether the edge is in every subset of batch b or in none.
         flags = [None] * low + [bool(b >> (e - low) & 1) for e in range(low, n_edges)]
-        if scan.batch(flags, first):
-            chunks.append(_lane_masks(scan.keep, b * batch))
+        if _batch(diagram, has, lacks, rows, flags, first):
+            chunks.append(_lane_masks(keep, b * batch))
     if not chunks:
         return np.empty(0, np.int64)
     return np.concatenate(chunks)
 
 
-class _Scan:
-    """The word rows of one diagram's scan: reachability per vertex, the keep
-    mask, one scratch row, and the patterns of the edges that vary inside a
-    batch.  Every batch reuses them; rows allocated per batch made a
-    standalone 22-edge scan up to twice as slow, as the allocator handed
-    the freed rows back to the system between batches."""
-
-    def __init__(self, diagram, has, n_words):
-        self.diagram = diagram
-        self.has = has
-        self.lacks = [~h for h in has]
-        self.fwd = np.empty((len(diagram.vertices), n_words), np.uint64)
-        self.bwd = np.empty((len(diagram.vertices), n_words), np.uint64)
-        self.keep = np.empty(n_words, np.uint64)
-        self.tmp = np.empty(n_words, np.uint64)
-
-    def batch(self, flags, first):
-        """Set ``keep`` to the faces of one batch, starting from the lanes
-        in ``first``; False when the flags alone rule out every subset."""
-        d, has, keep, tmp = self.diagram, self.has, self.keep, self.tmp
-        keep[:] = first
-        for t in d.terminal_indices:
-            in_edges = d.in_edges[t]
-            if any(flags[e] for e in in_edges):
-                continue
-            varying = [e for e in in_edges if flags[e] is None]
-            if not varying:
+def _batch(d, has, lacks, rows, flags, first):
+    """Set the keep row to the faces of one batch, starting from the lanes in
+    ``first``; False when the flags alone rule out every subset.  ``has`` and
+    ``lacks`` are the word patterns of the edges that vary inside a batch,
+    ``rows`` the forward and backward reachability, keep and scratch rows."""
+    fwd, bwd, keep, tmp = rows
+    keep[:] = first
+    for t in d.terminal_indices:
+        in_edges = d.in_edges[t]
+        if any(flags[e] for e in in_edges):
+            continue
+        varying = [e for e in in_edges if flags[e] is None]
+        if not varying:
+            return False
+        cover = has[varying[0]]
+        for e in varying[1:]:
+            cover = np.bitwise_or(cover, has[e], out=tmp)
+        keep &= cover
+    tails, heads, topo = d.edge_tails, d.edge_heads, d.edges_topo
+    fwd_live = _reach(fwd, tmp, has, [d.origin_index], topo, tails, heads, flags)
+    bwd_live = _reach(bwd, tmp, has, d.terminal_indices, topo[::-1], heads, tails, flags)
+    for e, flag in enumerate(flags):
+        if flag is False:
+            continue
+        t, h = tails[e], heads[e]
+        on_path = fwd_live[t] and bwd_live[h]
+        if flag:
+            if not on_path:
                 return False
-            cover = has[varying[0]]
-            for e in varying[1:]:
-                cover = np.bitwise_or(cover, has[e], out=tmp)
-            keep &= cover
-        tails, heads, topo = d.edge_tails, d.edge_heads, d.edges_topo
-        fwd = self._reach(self.fwd, [d.origin_index], topo, tails, heads, flags)
-        bwd = self._reach(self.bwd, d.terminal_indices, topo[::-1], heads, tails, flags)
-        for e, flag in enumerate(flags):
-            if flag is False:
-                continue
-            t, h = tails[e], heads[e]
-            on_path = fwd[t] and bwd[h]
-            if flag:
-                if not on_path:
-                    return False
-                keep &= self.fwd[t]
-                keep &= self.bwd[h]
-            elif on_path:
-                np.bitwise_and(self.fwd[t], self.bwd[h], out=tmp)
-                tmp |= self.lacks[e]
-                keep &= tmp
-            else:
-                keep &= self.lacks[e]
-        return True
+            keep &= fwd[t]
+            keep &= bwd[h]
+        elif on_path:
+            np.bitwise_and(fwd[t], bwd[h], out=tmp)
+            tmp |= lacks[e]
+            keep &= tmp
+        else:
+            keep &= lacks[e]
+    return True
 
-    def _reach(self, reach, seeds, order, src, dst, flags):
-        """Fill ``reach[v]`` with the subsets in which v is reached from a
-        seed along chosen edges taken in ``order``; returns which vertices
-        are reached in some subset (the other rows are left unset)."""
-        live = [False] * len(reach)
-        for v in seeds:
-            reach[v] = _ONES
-            live[v] = True
-        for e in order:
-            s, t = src[e], dst[e]
-            if not live[s] or flags[e] is False:
-                continue
-            if not live[t]:
-                if flags[e]:
-                    reach[t] = reach[s]
-                else:
-                    np.bitwise_and(self.has[e], reach[s], out=reach[t])
-                live[t] = True
-            elif flags[e]:
-                np.bitwise_or(reach[t], reach[s], out=reach[t])
+
+def _reach(reach, tmp, has, seeds, order, src, dst, flags):
+    """Fill ``reach[v]`` with the subsets in which v is reached from a seed
+    along chosen edges taken in ``order``; returns which vertices are reached
+    in some subset (the other rows are left unset)."""
+    live = [False] * len(reach)
+    for v in seeds:
+        reach[v] = _ONES
+        live[v] = True
+    for e in order:
+        s, t = src[e], dst[e]
+        if not live[s] or flags[e] is False:
+            continue
+        if not live[t]:
+            if flags[e]:
+                reach[t] = reach[s]
             else:
-                np.bitwise_and(self.has[e], reach[s], out=self.tmp)
-                np.bitwise_or(reach[t], self.tmp, out=reach[t])
-        return live
+                np.bitwise_and(has[e], reach[s], out=reach[t])
+            live[t] = True
+        elif flags[e]:
+            np.bitwise_or(reach[t], reach[s], out=reach[t])
+        else:
+            np.bitwise_and(has[e], reach[s], out=tmp)
+            np.bitwise_or(reach[t], tmp, out=reach[t])
+    return live
 
 
 def _lane_masks(keep, base):
