@@ -20,6 +20,13 @@ face of the corresponding child diagram), while ``brute_force_faces``
 filters all 2^|E| edge subsets through the face recognizer and never shares
 code with the recursion.  Both return a ``FaceSet``: the sorted masks and
 dimensions as numpy arrays, with ``DiagramFace`` objects built on demand.
+
+A child diagram shares its parent's origin and coordinates, so every face
+of every sub-composition met in the recursion is an edge set of the
+requested diagram.  The recursion computes them all directly in that
+diagram's edge numbering: it builds no child diagram and moves no bit, and a
+parent face is a child face OR the word's gadget.  Only the requested
+composition's table is memoized.
 """
 
 from __future__ import annotations
@@ -401,30 +408,26 @@ def assignment_of_face(face):
     return tuple(letters)
 
 
-def _gadget_mask(diagram, word):
-    """Bit mask of the terminal-edge gadget selected by an assignment word."""
-    d = diagram
-    n = d.n
-    mask = d.edge_bit((0, n - 1), (0, n)) | d.edge_bit((n - 1, 0), (n, 0))
-    for t, (alpha, beta) in enumerate(word, start=1):
-        a, b = d.terminals[t]
+def _gadget_mask(diagram, comp, word):
+    """Bit mask of the terminal-edge gadget that an assignment word selects on
+    the diagram of ``comp``, in the edge numbering of ``diagram``.
+
+    ``comp`` is ``diagram.composition`` or a composition whose diagram lies
+    inside it; sub-diagrams share the origin and coordinates.  An edge the
+    gadget needs that ``diagram`` lacks raises ``KeyError``.
+    """
+    index = diagram.edge_index
+    n = sum(comp)
+    mask = 1 << index[((0, n - 1), (0, n))] | 1 << index[((n - 1, 0), (n, 0))]
+    a = 0
+    for part, (alpha, beta) in zip(comp, word):
+        a += part
+        b = n - a
         if alpha:
-            mask |= d.edge_bit((a - 1, b), (a, b))
+            mask |= 1 << index[((a - 1, b), (a, b))]
         if beta:
-            mask |= d.edge_bit((a, b - 1), (a, b))
+            mask |= 1 << index[((a, b - 1), (a, b))]
     return mask
-
-
-def _translation_table(child, parent):
-    # Child diagrams share the parent's origin and coordinates, so geometric
-    # edge identity is the embedding.
-    table = []
-    for e in child.edges:
-        idx = parent.edge_index.get(e)
-        if idx is None:
-            raise AssertionError(f"child edge {e} missing from {parent}")
-        table.append(idx)
-    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -432,6 +435,8 @@ def _face_arrays(comp):
     """All faces of the reduced composition as sorted (masks, dims) arrays.
 
     The memo hands the same arrays to every caller, so they are read-only.
+    Only the requested composition is memoized: the tables of the
+    sub-compositions are in its edge numbering and live for one call.
     """
     d = _build_reduced(comp)
     if d.num_edges > _MAX_MASK_BITS:
@@ -439,34 +444,46 @@ def _face_arrays(comp):
             f"{d} has {d.num_edges} edges; array enumeration is capped at "
             f"{_MAX_MASK_BITS}-bit masks"
         )
-    if d.n == 0:
-        return _read_only(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16))
-    mask_parts = []
-    dim_parts = []
-    for w in all_words(d.s - 1):
-        child_comp = child_composition(comp, w)
-        cmasks, cdims = _face_arrays(child_comp)
-        child = _build_reduced(child_comp)
-        # Child edges keep their relative order in the parent, so each moves
-        # up by a shift shared with many others: move them by groups.
-        groups = {}
-        for b, parent_bit in enumerate(_translation_table(child, d)):
-            groups[parent_bit - b] = groups.get(parent_bit - b, 0) | 1 << b
-        pmasks = np.full(cmasks.shape, _gadget_mask(d, w), dtype=np.int64)
-        for shift, group in groups.items():
-            if shift < 0:
-                raise AssertionError(f"child edge order differs in {d}")
-            pmasks |= (cmasks & group) << shift
-        mask_parts.append(pmasks)
-        dim_parts.append((cdims + word_weight(w)).astype(np.int16))
-    masks = np.concatenate(mask_parts)
-    dims = np.concatenate(dim_parts)
-    order = np.argsort(masks, kind="stable")
-    masks = masks[order]
-    dims = dims[order]
+    tables = {(): (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16))}
+    masks, dims = _sub_faces(d, comp, tables)
     if masks.size > 1 and not np.all(masks[1:] > masks[:-1]):
         raise AssertionError(f"face recursion produced duplicate masks for {comp}")
     return _read_only(masks, dims)
+
+
+def _sub_faces(d, comp, tables):
+    # Faces of the diagram of ``comp``, a sub-diagram of ``d`` (or ``d``
+    # itself) with the same origin, as mask-sorted (masks, dims) arrays in
+    # the edge numbering of ``d``; ``tables`` holds those already made.
+    got = tables.get(comp)
+    if got is not None:
+        return got
+    branches = []
+    for w in all_words(len(comp) - 1):
+        cmasks, cdims = _sub_faces(d, child_composition(comp, w), tables)
+        gadget = _gadget_mask(d, comp, w)
+        branches.append((int(cmasks[0]) | gadget, cmasks, cdims, gadget, word_weight(w)))
+    # Gadget edges end on the line a + b = n, which the child diagram (total
+    # n - 1) does not reach, so each branch is a sorted run.  Laid out by
+    # first mask, runs that do not overlap join into one, which the stable
+    # (merging) argsort finds.
+    branches.sort(key=operator.itemgetter(0))
+    size = sum(len(b[1]) for b in branches)
+    masks = np.empty(size, dtype=np.int64)
+    dims = np.empty(size, dtype=np.int16)
+    lo = 0
+    for _, cmasks, cdims, gadget, weight in branches:
+        hi = lo + len(cmasks)
+        np.bitwise_or(cmasks, np.int64(gadget), out=masks[lo:hi])
+        np.add(cdims, np.int16(weight), out=dims[lo:hi])
+        lo = hi
+    # Gather masks and dims one at a time, so that one spare copy at most
+    # is alive.
+    order = np.argsort(masks, kind="stable")
+    masks = masks[order]
+    dims = dims[order]
+    tables[comp] = masks, dims
+    return masks, dims
 
 
 def _read_only(masks, dims):
@@ -555,21 +572,18 @@ def decompose_face(face):
     if d.n == 0:
         raise ValueError("the degenerate diagram has no decomposition step")
     w = assignment_of_face(face)
-    gmask = _gadget_mask(d, w)
+    gmask = _gadget_mask(d, d.composition, w)
     if face.mask & gmask != gmask:
         raise AssertionError("assignment gadget not contained in face")
-    rest = face.mask & ~gmask
     child = build_diagram(child_composition(d.composition, w))
-    table = _translation_table(child, d)
-    back = {parent_bit: b for b, parent_bit in enumerate(table)}
+    # The child diagram shares the parent's origin and coordinates, so an
+    # edge is the same pair of end points in both.
+    index = child.edge_index
     cmask = 0
-    m = rest
-    while m:
-        e = (m & -m).bit_length() - 1
-        if e not in back:
-            raise AssertionError(f"edge {d.edges[e]} survives outside the child diagram")
-        cmask |= 1 << back[e]
-        m &= m - 1
+    for edge in DiagramFace(d, face.mask & ~gmask).edge_set():
+        if edge not in index:
+            raise AssertionError(f"edge {edge} survives outside the child diagram")
+        cmask |= 1 << index[edge]
     return w, DiagramFace(child, cmask)
 
 
@@ -580,14 +594,9 @@ def compose_face(diagram, word, child_face):
         raise ValueError(
             f"child face lives on {child_face.diagram.composition}, expected {expected}"
         )
-    child = child_face.diagram
-    table = _translation_table(child, diagram)
-    mask = _gadget_mask(diagram, word)
-    m = child_face.mask
-    while m:
-        e = (m & -m).bit_length() - 1
-        mask |= 1 << table[e]
-        m &= m - 1
+    mask = _gadget_mask(diagram, diagram.composition, word)
+    for edge in child_face.edge_set():
+        mask |= 1 << diagram.edge_index[edge]
     return DiagramFace(diagram, mask)
 
 

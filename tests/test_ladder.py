@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcladder import clear_caches
+from gcladder import clear_caches, ladder
 from gcladder.genfunc import f_vector
 from gcladder.ladder import (
     BOTTOM,
@@ -29,7 +29,7 @@ from gcladder.ladder import (
     meet,
     transpose_face,
 )
-from gcladder.words import BOTH, RIGHT, UP
+from gcladder.words import BOTH, RIGHT, UP, all_words, child_composition, word_weight
 
 # Face counts established independently by filtering all edge subsets
 # through the recognizer (and, for (1,1,1), stated explicitly alongside the
@@ -175,6 +175,115 @@ def test_brute_force_past_cli_bound(comp):
     assert np.array_equal(brute.masks, rec.masks)
     assert np.array_equal(brute.dims, rec.dims)
     assert brute.census() == {i: c for i, c in enumerate(f_vector(comp)) if c}
+
+
+def _reference_gadget(d, w):
+    n = d.n
+    mask = d.edge_bit((0, n - 1), (0, n)) | d.edge_bit((n - 1, 0), (n, 0))
+    for (a, b), (alpha, beta) in zip(d.terminals[1:], w):
+        if alpha:
+            mask |= d.edge_bit((a - 1, b), (a, b))
+        if beta:
+            mask |= d.edge_bit((a, b - 1), (a, b))
+    return mask
+
+
+@pytest.fixture(scope="module")
+def reference_memo():
+    return {}
+
+
+def reference_face_arrays(comp, memo):
+    """The per-child recursion the enumerator used before it worked in the
+    top diagram's edge numbering: each child's faces are made in the child
+    diagram's own numbering and moved into the parent's, bits grouped by the
+    shift the translation table gives them.  ``memo`` keeps the tables of
+    compositions with n <= 5, the children of those with n = 6."""
+    if comp in memo:
+        return memo[comp]
+    d = build_diagram(comp)
+    if d.n == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16)
+    mask_parts = []
+    dim_parts = []
+    for w in all_words(d.s - 1):
+        child_comp = child_composition(comp, w)
+        cmasks, cdims = reference_face_arrays(child_comp, memo)
+        groups = {}
+        for b, edge in enumerate(build_diagram(child_comp).edges):
+            parent_bit = d.edge_index[edge]
+            assert parent_bit >= b
+            groups[parent_bit - b] = groups.get(parent_bit - b, 0) | 1 << b
+        pmasks = np.full(cmasks.shape, _reference_gadget(d, w), dtype=np.int64)
+        for shift, group in groups.items():
+            pmasks |= (cmasks & group) << shift
+        mask_parts.append(pmasks)
+        dim_parts.append((cdims + word_weight(w)).astype(np.int16))
+    masks = np.concatenate(mask_parts)
+    dims = np.concatenate(dim_parts)
+    order = np.argsort(masks, kind="stable")
+    result = masks[order], dims[order]
+    if d.n <= 5:
+        memo[comp] = result
+    return result
+
+
+# (2, 2, 2) and (1, 3, 1, 1) are among the compositions of 6; (3, 4) has
+# children with n = 6.
+@pytest.mark.parametrize("comp", [c for n in range(1, 7) for c in compositions_of(n)] + [(3, 4)])
+def test_enumeration_matches_per_child_translation(comp, reference_memo):
+    faces = enumerate_faces(build_diagram(comp))
+    masks, dims = reference_face_arrays(comp, reference_memo)
+    assert faces.masks.dtype == masks.dtype == np.int64
+    assert faces.dims.dtype == dims.dtype == np.int16
+    assert np.array_equal(faces.masks, masks)
+    assert np.array_equal(faces.dims, dims)
+    # the n = 6 tables hold ~15M masks in all; keep none of them
+    clear_caches()
+
+
+def test_memo_holds_only_the_requested_composition():
+    from gcladder.ladder import _face_arrays
+
+    clear_caches()
+    big = enumerate_faces(build_diagram((1, 1, 2, 1, 1)))
+    assert _face_arrays.cache_info().currsize == 1
+    # (1, 1, 1) is a sub-composition of the call above; its table there was
+    # in the numbering of (1, 1, 2, 1, 1) and must not be what is returned
+    small = enumerate_faces(build_diagram((1, 1, 1)))
+    clear_caches()
+    fresh = enumerate_faces(build_diagram((1, 1, 1)))
+    assert np.array_equal(small.masks, fresh.masks)
+    assert np.array_equal(small.dims, fresh.dims)
+    assert all(is_face(small.diagram, m) for m in small.masks.tolist())
+    # every 997th face of the large table, as a check on its numbering
+    assert all(is_face(big.diagram, m) for m in big.masks[::997].tolist())
+    clear_caches()
+
+
+def test_array_enumeration_refuses_before_recursing(monkeypatch):
+    d = build_diagram((1,) * 8)
+    assert d.num_edges == 72
+
+    def no_recursion(*args):
+        raise AssertionError("recursion started before the mask-width check")
+
+    monkeypatch.setattr(ladder, "child_composition", no_recursion)
+    with pytest.raises(ValueError, match="capped at 62-bit masks"):
+        enumerate_faces(d)
+
+
+def test_gadget_mask_matches_edge_bits_and_raises_on_missing_edges():
+    for n in range(1, 5):
+        for comp in compositions_of(n):
+            d = build_diagram(comp)
+            for w in all_words(d.s - 1):
+                assert ladder._gadget_mask(d, comp, w) == _reference_gadget(d, w)
+    # (3,) needs the axis edges into (0, 3) and (3, 0), which (1, 1) lacks;
+    # edge_bit would read them as 0
+    d = build_diagram((1, 1))
+    with pytest.raises(KeyError):
+        ladder._gadget_mask(d, (3,), ())
 
 
 def test_face_set_len_and_indexing():
@@ -425,5 +534,6 @@ def test_census_matches_polynomial_up_to_n6():
                 fvec = f_vector(comp)
                 assert tuple(census.get(i, 0) for i in range(len(fvec))) == fvec
     finally:
-        # the n = 6 face tables hold ~15M masks; release them
+        # the memo keeps the table of each composition asked for (not its
+        # sub-compositions'); the n = 6 tables hold ~15M masks, release them
         _face_arrays.cache_clear()
