@@ -14,6 +14,7 @@ import numpy as np
 
 from . import records
 from .genfunc import (
+    _check_pde_args,
     check_operator_expansion,
     check_transform_round_trip,
     check_word_action,
@@ -29,12 +30,16 @@ from .ladder import (
     build_diagram,
     compositions_of,
     compositions_with_edge_bound,
+    diagram_edge_count,
     enumerate_faces,
 )
-from .polytope import MAX_ORACLE_N, Spectrum, canonical_spectrum, verify_isomorphism
+from .polytope import Spectrum, canonical_spectrum, verify_isomorphism
 from .words import child_composition
 
 ORACLE_EDGE_BOUND = 20
+# Largest n that `verify iso` and `verify all` send to the polyhedral oracle,
+# below the library's `polytope.MAX_ORACLE_N`, so `verify all` stays as pinned.
+MAX_ISO_N = 4
 # Largest n = k_1 + ... + k_s that `fvector` computes.  On a 2-core Xeon
 # the slowest compositions found at n = 12 take about 1.4 s, and at n = 13
 # about 4 s: each further unit of n costs about 3-4x more.
@@ -149,16 +154,15 @@ def cmd_faces(args):
 
 
 def _check_oracle_max_n(max_n):
-    # compositions_of yields (1, ..., 1) first, the largest diagram for its
-    # n, so a large --max-n is refused at n = 5 without listing the rest.
+    # (1, ..., 1) has the largest diagram for its n, so a large --max-n is
+    # refused at n = 5 without building any diagram.
     for n in range(1, max_n + 1):
-        for comp in compositions_of(n):
-            edges = build_diagram(comp).num_edges
-            if edges > MAX_BRUTE_FORCE_EDGES:
-                raise ValueError(
-                    f"--max-n {max_n}: composition {comp} has {edges} edges "
-                    f"(brute-force bound {MAX_BRUTE_FORCE_EDGES})"
-                )
+        edges = diagram_edge_count((1,) * n)
+        if edges > MAX_BRUTE_FORCE_EDGES:
+            raise ValueError(
+                f"--max-n {max_n}: composition {(1,) * n} has {edges} edges "
+                f"(brute-force bound {MAX_BRUTE_FORCE_EDGES})"
+            )
 
 
 def _verify_oracle(args, golden, lines, details):
@@ -219,11 +223,14 @@ def _verify_pde(args, lines, details, vertex):
     return ok
 
 
-def _verify_iso(spectrum, max_n, lines, details):
-    report = verify_isomorphism(spectrum, max_n=max_n)
-    lines.append("  " + report.summary())
-    details.append(records.iso_report_record(report))
-    return report.passed
+def _verify_iso(spectra, lines, details):
+    good = True
+    for spectrum in spectra:
+        report = verify_isomorphism(spectrum)
+        good = good and report.passed
+        lines.append("  " + report.summary())
+        details.append(records.iso_report_record(report))
+    return good
 
 
 def _verify_identities(args, lines, details):
@@ -250,7 +257,7 @@ def cmd_verify(args):
     if args.max_n is not None and args.max_n < 1:
         raise ValueError(f"--max-n must be positive, got {args.max_n}")
     # --max-n only lowers the oracle cap, for iso as for the suite of all
-    iso_max_n = min(args.max_n or MAX_ORACLE_N, MAX_ORACLE_N)
+    iso_max_n = min(args.max_n or MAX_ISO_N, MAX_ISO_N)
     if args.target in ("iso", "all") and spectrum is not None and spectrum.n > iso_max_n:
         raise ValueError(
             f"polyhedral oracle is capped at n <= {iso_max_n}; got n = {spectrum.n}"
@@ -258,10 +265,7 @@ def cmd_verify(args):
     if args.target in ("pde", "gkt", "all"):
         # the checks of verify_generating_pde, made before the iso suite
         for s in _pde_s_values(args):
-            if s < 1:
-                raise ValueError("s must be positive")
-            if args.degree < s:
-                raise ValueError("truncation degree must be at least s")
+            _check_pde_args(s, args.degree)
             if s > MAX_PDE_S or args.degree > MAX_PDE_DEGREE:
                 raise ValueError(
                     f"--s {s} --degree {args.degree} exceeds the bound "
@@ -277,19 +281,17 @@ def cmd_verify(args):
     details = []
     results = []
     if args.target in ("iso", "all"):
-        if args.target == "all" and spectrum is None:
-            good = True
+        if spectrum is None:  # only `all` runs without --lambda
             lines.append("isomorphism (canonical spectra):")
-            for n in range(1, iso_max_n + 1):
-                for comp in compositions_of(n):
-                    report = verify_isomorphism(canonical_spectrum(comp), max_n=iso_max_n)
-                    good = good and report.passed
-                    lines.append("  " + report.summary())
-                    details.append(records.iso_report_record(report))
-            results.append(good)
+            spectra = [
+                canonical_spectrum(comp)
+                for n in range(1, iso_max_n + 1)
+                for comp in compositions_of(n)
+            ]
         else:
             lines.append("isomorphism:")
-            results.append(_verify_iso(spectrum, iso_max_n, lines, details))
+            spectra = [spectrum]
+        results.append(_verify_iso(spectra, lines, details))
     if args.target in ("pde", "all"):
         lines.append("generating-function identity:")
         results.append(_verify_pde(args, lines, details, vertex=False))

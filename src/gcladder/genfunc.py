@@ -204,8 +204,8 @@ class TruncatedSeries:
     total degree.
 
     ``validity_degree`` bounds the total degree up to which stored
-    coefficients are exact; arithmetic preserves it and differential
-    operators lower it by their order.  Terms beyond it are never stored.
+    coefficients are exact; differential operators lower it by their
+    order.  Terms beyond it are never stored.
     """
 
     __slots__ = ("num_vars", "validity_degree", "terms")
@@ -234,31 +234,6 @@ class TruncatedSeries:
     @property
     def is_zero(self):
         return not self.terms
-
-    def _binop(self, other, op):
-        if self.num_vars != other.num_vars:
-            raise ValueError("series variable counts differ")
-        validity = min(self.validity_degree, other.validity_degree)
-        keys = set(self.terms) | set(other.terms)
-        terms = {}
-        for k in keys:
-            if sum(k) > validity:
-                continue
-            terms[k] = op(self.coefficient(k), other.coefficient(k))
-        return TruncatedSeries(self.num_vars, validity, terms)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def scale(self, c):
-        return TruncatedSeries(
-            self.num_vars,
-            self.validity_degree,
-            {k: p * c for k, p in self.terms.items()},
-        )
 
     def at_t_zero(self):
         """Specialize every coefficient polynomial at t = 0."""

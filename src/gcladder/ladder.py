@@ -186,13 +186,7 @@ class DiagramFace:
         return self._dim
 
     def edge_indices(self):
-        m = self.mask
-        out = []
-        while m:
-            e = (m & -m).bit_length() - 1
-            out.append(e)
-            m &= m - 1
-        return out
+        return list(_bits(self.mask))
 
     def edge_set(self):
         return [self.diagram.edges[e] for e in self.edge_indices()]
@@ -248,25 +242,40 @@ def _require_same_diagram(f1, f2):
         )
 
 
-def _reach_forward(diagram, mask):
+def _bits(mask):
+    """Indices of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _path_edges(diagram, mask):
+    """The edges of ``mask`` that lie on an origin-to-terminal path inside
+    ``mask``: one forward and one backward reachability pass.
+
+    Every edge of a path through a kept edge is kept too, so the result is
+    its own image: one pass is the fixed point.
+    """
+    tails, heads = diagram.edge_tails, diagram.edge_heads
     fwd = [False] * len(diagram.vertices)
     fwd[diagram.origin_index] = True
-    tails, heads = diagram.edge_tails, diagram.edge_heads
     for e in diagram.edges_topo:
         if mask >> e & 1 and fwd[tails[e]]:
             fwd[heads[e]] = True
-    return fwd
-
-
-def _reach_backward(diagram, mask):
     bwd = [False] * len(diagram.vertices)
     for t in diagram.terminal_indices:
         bwd[t] = True
-    tails, heads = diagram.edge_tails, diagram.edge_heads
     for e in reversed(diagram.edges_topo):
         if mask >> e & 1 and bwd[heads[e]]:
             bwd[tails[e]] = True
-    return bwd
+    return sum(1 << e for e in _bits(mask) if fwd[tails[e]] and bwd[heads[e]])
+
+
+def _covers_terminals(diagram, mask):
+    # The degenerate diagram's one terminal is the origin, which the empty
+    # edge set covers.
+    return diagram.n == 0 or all(mask & t for t in diagram.terminal_in_masks)
 
 
 def is_face(diagram, mask):
@@ -279,21 +288,7 @@ def is_face(diagram, mask):
     mask = int(mask)
     if mask & ~diagram.full_mask:
         raise ValueError("edge subset uses bits outside the diagram")
-    if diagram.n == 0:
-        return mask == 0
-    for tmask in diagram.terminal_in_masks:
-        if not mask & tmask:
-            return False
-    fwd = _reach_forward(diagram, mask)
-    bwd = _reach_backward(diagram, mask)
-    tails, heads = diagram.edge_tails, diagram.edge_heads
-    m = mask
-    while m:
-        e = (m & -m).bit_length() - 1
-        if not (fwd[tails[e]] and bwd[heads[e]]):
-            return False
-        m &= m - 1
-    return True
+    return _covers_terminals(diagram, mask) and _path_edges(diagram, mask) == mask
 
 
 def is_face_local(diagram, mask):
@@ -325,34 +320,10 @@ def is_face_local(diagram, mask):
 
 
 def face_dimension(face):
-    """Cycle rank |E| - |V| + 1 of a face; the face must be connected."""
-    d = face.diagram
-    if d.n == 0:
-        return 0
-    edges = face.edge_indices()
-    verts = face.vertex_indices()
-    components = _component_count(d, edges, verts)
-    if components != 1:
-        raise AssertionError(
-            f"face has {components} components; recognizer invariant violated"
-        )
-    return len(edges) - len(verts) + 1
-
-
-def _component_count(diagram, edge_indices, vertex_indices):
-    parent = {v: v for v in vertex_indices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edge_indices:
-        a, b = find(diagram.edge_tails[e]), find(diagram.edge_heads[e])
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in vertex_indices})
+    """Cycle rank |E| - |V| + 1 of a face; a non-face raises ValueError."""
+    if not is_face(face.diagram, face.mask):
+        raise ValueError(f"{face!r} is not a face, so it has no dimension")
+    return face.mask.bit_count() - len(face.vertex_indices()) + 1
 
 
 def join(f1, f2):
@@ -373,23 +344,10 @@ def meet(f1, f2):
         return BOTTOM
     _require_same_diagram(f1, f2)
     d = f1.diagram
-    mask = f1.mask & f2.mask
-    tails, heads = d.edge_tails, d.edge_heads
-    while True:
-        # Drop edges not on any surviving origin-to-terminal path.
-        fwd = _reach_forward(d, mask)
-        bwd = _reach_backward(d, mask)
-        kept = 0
-        m = mask
-        while m:
-            e = (m & -m).bit_length() - 1
-            if fwd[tails[e]] and bwd[heads[e]]:
-                kept |= 1 << e
-            m &= m - 1
-        if kept == mask:
-            break
-        mask = kept
-    if is_face(d, mask):
+    # The edges on paths inside the intersection form the largest union of
+    # paths in it, which is a face exactly when it covers every terminal.
+    mask = _path_edges(d, f1.mask & f2.mask)
+    if _covers_terminals(d, mask):
         return DiagramFace(d, mask)
     return BOTTOM
 

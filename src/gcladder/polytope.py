@@ -24,10 +24,11 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .ladder import BOTTOM, DiagramFace, build_diagram, enumerate_faces, is_face
+from .ladder import BOTTOM, DiagramFace, _bits, build_diagram, enumerate_faces, is_face
 
-# `verify all` clamps its pinned iso suite to this n; the oracle handles n = 5.
-MAX_ORACLE_N = 4
+# Largest n whose vertices the oracle computes; the tests check its face
+# counts against the recursion for every composition of this n.
+MAX_ORACLE_N = 5
 
 
 class Spectrum:
@@ -195,13 +196,6 @@ def build_system(spectrum):
     return GCSystem(spectrum)
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _holders(masks):
     """For each bit, the bitset of the indices of the masks that contain it."""
     holders = {}
@@ -296,14 +290,16 @@ def _extreme_rays(rows, dim):
     return rays
 
 
-def polytope_vertices(sys, max_n=MAX_ORACLE_N):
+def polytope_vertices(sys):
     """All vertices, sorted: the extreme rays (x, t) of the homogenised cone
     {a.x + b.t >= 0 for every constraint, t >= 0}, read as x / t.  The
     polytope is bounded, so every extreme ray has t > 0."""
     if sys._vertices is not None:
         return sys._vertices
-    if sys.n > max_n:
-        raise ValueError(f"polyhedral oracle is capped at n <= {max_n}; got n = {sys.n}")
+    if sys.n > MAX_ORACLE_N:
+        raise ValueError(
+            f"polyhedral oracle is capped at n <= {MAX_ORACLE_N}; got n = {sys.n}"
+        )
     t_row = (0,) * sys.d + (1,)
     found = sorted(
         (tuple(Fraction(a, v[-1]) for a in v[:-1]), tight)
@@ -356,7 +352,7 @@ class PolytopeFace:
         return f"PolytopeFace(dim={self.dim}, vertices={bin(self.vertex_mask).count('1')})"
 
 
-def face_lattice(sys, max_n=MAX_ORACLE_N):
+def face_lattice(sys):
     """Every face of the polytope (including the empty face and the
     polytope itself), sorted by vertex mask.
 
@@ -369,7 +365,7 @@ def face_lattice(sys, max_n=MAX_ORACLE_N):
     """
     if sys._faces is not None:
         return sys._faces
-    verts = polytope_vertices(sys, max_n)
+    verts = polytope_vertices(sys)
     found = {(1 << len(verts)) - 1, 0}
     for vs in sys._vertex_sets:
         found |= {f & vs for f in found}
@@ -541,7 +537,7 @@ def inclusion_mismatch(left, right):
     return None
 
 
-def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
+def verify_isomorphism(spectrum):
     """Check that the edge-wise face map is a dimension-preserving lattice
     isomorphism between the polytope's nonempty faces and the diagram's
     faces, with two-sided round trips."""
@@ -549,7 +545,7 @@ def verify_isomorphism(spectrum, max_n=MAX_ORACLE_N):
         spectrum = Spectrum(spectrum)
     sys = GCSystem(spectrum)
     diagram = build_diagram(spectrum.composition)
-    pfaces = [f for f in face_lattice(sys, max_n) if not f.is_empty]
+    pfaces = [f for f in face_lattice(sys) if not f.is_empty]
     dfaces = enumerate_faces(diagram)
     diagram_masks = set(dfaces.masks.tolist())
 

@@ -49,15 +49,31 @@ def test_fvector_golden_missing_entry(capsys):
     assert code == 1 and "no entry" in out
 
 
+def test_fvector_golden_mismatch(tmp_path, capsys):
+    payload = json.loads(Path(GOLDEN).read_text())
+    assert payload["entries"][3]["composition"] == [1, 1, 1]
+    payload["entries"][3]["coefficients"] = ["7", "11", "6", "2"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out = run(capsys, "fvector", "--k", "1,1,1", "--golden", str(bad))
+    assert code == 1
+    assert "golden: MISMATCH recorded ('7', '11', '6', '2')" in out
+
+
 def test_fvector_at_its_bound(capsys):
     code, out = run(capsys, "fvector", "--k", "5,0,7")
     assert code == 0 and "composition: (5, 0, 7)" in out
 
 
 def test_malformed_composition_exits_nonzero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["fvector", "--k", "1,x"])
-    assert exc.value.code == 2
+    for k, reason in (
+        ("1,x", "must be comma-separated integers"),
+        ("1,-1", "composition parts must be non-negative"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["fvector", "--k", k])
+        assert exc.value.code == 2
+        assert f"{reason}, got '{k}'" in capsys.readouterr().err
 
 
 def test_faces_listing(capsys):
@@ -271,6 +287,24 @@ def test_faces_json_deterministic(capsys):
     _, first = run(capsys, "faces", "--k", "2,1", "--format", "json")
     _, second = run(capsys, "faces", "--k", "2,1", "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", "all", "--format", "json"], "verify_all.json"),
+        (
+            ["verify", "pde", "--s", "3", "--degree", "8", "--format", "json"],
+            "verify_pde_s3_d8.json",
+        ),
+    ],
+    ids=["all", "pde"],
+)
+def test_verify_report_bytes_pinned(argv, expected, capsys):
+    # the benchmark's expected outputs, read and never written here
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (ROOT / "perfbench" / "expected" / expected).read_text()
 
 
 def test_verify_all_json_deterministic(capsys):

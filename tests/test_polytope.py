@@ -144,6 +144,25 @@ class TestSystem:
         with pytest.raises(ValueError, match="capped"):
             face_lattice(sys)
 
+    def test_oracle_bound_does_not_depend_on_what_ran_before(self):
+        # psi builds the n = 5 lattice it needs on a fresh system
+        d5 = build_diagram((1,) * 5)
+        sys5 = GCSystem(canonical_spectrum((1,) * 5))
+        top = psi(d5, DiagramFace(d5, d5.full_mask), sys5)
+        assert top.vertex_mask == (1 << len(polytope_vertices(sys5))) - 1
+        assert top.dim == sys5.d == 10
+        # n = 6 is refused by every entry point, although n = 5 just ran
+        d6 = build_diagram((1,) * 6)
+        for call in (
+            polytope_vertices,
+            face_lattice,
+            lambda sys: psi(d6, DiagramFace(d6, d6.full_mask), sys),
+        ):
+            with pytest.raises(ValueError, match="capped at n <= 5; got n = 6"):
+                call(GCSystem(canonical_spectrum((1,) * 6)))
+        with pytest.raises(ValueError, match="capped at n <= 5; got n = 6"):
+            verify_isomorphism(canonical_spectrum((1,) * 6))
+
     @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum])
     def test_vertices_match_subsystem_scan(self, spectrum_of):
         comps = compositions_up_to(3) + [(1, 1, 1, 1)]
@@ -163,7 +182,7 @@ class TestLattice:
         comps = list(compositions_of(5))
         assert len(comps) == 16
         for comp in comps:
-            faces = face_lattice(build_system(canonical_spectrum(comp)), max_n=5)
+            faces = face_lattice(build_system(canonical_spectrum(comp)))
             assert face_counts_by_dim(faces) == dict(enumerate(f_vector(comp))), comp
 
     @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum])
