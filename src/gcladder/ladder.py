@@ -580,23 +580,23 @@ def compositions_of(n):
 
 
 def diagram_edge_count(k):
-    """Edge count of the diagram of k, without interning the diagram."""
+    """Edge count of the diagram of k, without building the diagram.
+
+    Column 0 holds n + 1 vertices and each of the p_i columns of block i
+    holds n - s_i + 1, where s_i is the partial sum ending with block i.
+    The diagram is connected, so its edges are the vertices less one plus
+    the cycle rank, which is sum_{i<j} p_i p_j = (n^2 - sum p_i^2) / 2.
+    """
     comp = reduce_composition(k)
     n = sum(comp)
     if n == 0:
         return 0
-    sums = [0]
+    n_vertices = n + 1
+    s = 0
     for p in comp:
-        sums.append(sums[-1] + p)
-
-    def height(a):
-        return n - min(m for m in sums if m >= a)
-
-    n_vertices = sum(height(a) + 1 for a in range(n + 1))
-    cycle_rank = sum(
-        comp[i] * comp[j] for i in range(len(comp)) for j in range(i + 1, len(comp))
-    )
-    return n_vertices - 1 + cycle_rank
+        s += p
+        n_vertices += p * (n - s + 1)
+    return n_vertices - 1 + (n * n - sum(p * p for p in comp)) // 2
 
 
 def compositions_with_edge_bound(max_edges):

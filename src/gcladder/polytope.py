@@ -23,8 +23,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import and_, or_
 
-from .ladder import BOTTOM, DiagramFace, _bits, build_diagram, enumerate_faces, is_face
+import numpy as np
+
+from .ladder import (
+    BOTTOM,
+    DiagramFace,
+    _bits,
+    build_diagram,
+    enumerate_faces,
+    face_dimension,
+    is_face,
+)
+from .records import hex_mask
 
 # Largest n whose vertices the oracle computes; the tests check its face
 # counts against the recursion for every composition of this n.
@@ -139,6 +151,7 @@ class GCSystem:
         "_vertex_sets",
         "_faces",
         "_face_of",
+        "_edge_table",
     )
 
     def __init__(self, spectrum):
@@ -182,6 +195,7 @@ class GCSystem:
         self._vertex_sets = None
         self._faces = None
         self._face_of = None
+        self._edge_table = None
 
     @property
     def num_constraints(self):
@@ -384,28 +398,112 @@ def face_counts_by_dim(faces):
     return dict(sorted(Counter(f.dim for f in faces if not f.is_empty).items()))
 
 
+def _subset_table(items, combine, unit):
+    """``table[b]`` is ``unit`` combined with ``items[i]`` for every set bit i
+    of ``b``, for all ``b < 2 ** len(items)``."""
+    table = [unit]
+    for item in items:
+        table += [combine(x, item) for x in table]
+    return table
+
+
+class EdgeTable:
+    """The edge paired with each constraint of a system, as diagram bits.
+
+    ``bits[c]`` is the edge bit of constraint ``c``, or 0 when the diagram
+    lacks that edge; ``outside`` is the mask of those constraints.  The
+    image of a polytope face is ``axes_mask`` OR the bits of the constraints
+    not tight on it, read from one subset table per byte of the tight mask.
+    """
+
+    __slots__ = ("bits", "outside", "axes_mask", "_bytes")
+
+    def __init__(self, bits, axes_mask):
+        self.bits = tuple(bits)
+        self.outside = sum(1 << c for c, bit in enumerate(self.bits) if not bit)
+        self.axes_mask = axes_mask
+        self._bytes = [
+            (lo, np.array(_subset_table(self.bits[lo : lo + 8], or_, 0), dtype=np.int64))
+            for lo in range(0, len(self.bits), 8)
+        ]
+
+    def images(self, tight_masks):
+        """Edge masks of the faces with these tight masks (int64 array)."""
+        loose = ~np.asarray(tight_masks, dtype=np.int64)
+        out = np.full(loose.shape, self.axes_mask, dtype=np.int64)
+        for lo, table in self._bytes:
+            out |= table[(loose >> lo) & (len(table) - 1)]
+        return out
+
+
+def edge_table(sys):
+    """The system's ``EdgeTable``, built once; ``phi``, ``psi`` and
+    ``verify_isomorphism`` all read it."""
+    if sys._edge_table is None:
+        diagram = build_diagram(sys.spectrum.composition)
+        sys._edge_table = EdgeTable(
+            (diagram.edge_bit(*con.edge) for con in sys.constraints), diagram.axes_mask
+        )
+    return sys._edge_table
+
+
+def _images(sys, tight_masks):
+    # An image needs an edge for every constraint not tight on the face.
+    table = edge_table(sys)
+    tight_masks = np.asarray(tight_masks, dtype=np.int64)
+    stray = np.flatnonzero(~tight_masks & table.outside)
+    if stray.size:
+        missing = ~int(tight_masks[stray[0]]) & table.outside
+        con = sys.constraints[(missing & -missing).bit_length() - 1]
+        raise AssertionError(
+            f"non-tight constraint {con.kind}{(con.i, con.j)} pairs with an "
+            f"edge outside the diagram"
+        )
+    return table.images(tight_masks)
+
+
+def _face_images(sys, tight_masks):
+    # The images of nonempty faces, each checked once by the recognizer.
+    images = _images(sys, tight_masks)
+    diagram = build_diagram(sys.spectrum.composition)
+    for mask in images.tolist():
+        if not is_face(diagram, mask):
+            raise AssertionError(
+                f"polytope face mapped to a non-face edge set "
+                f"0x{hex_mask(diagram, mask)}"
+            )
+    return images
+
+
+def _preimages(sys, masks):
+    """Vertex mask of the polytope face of each edge mask: the AND of the
+    vertex sets of the constraints whose edge bit the mask lacks."""
+    masks = np.asarray(masks, dtype=np.int64)
+    absent = np.zeros(masks.shape, dtype=np.int64)
+    for c, bit in enumerate(edge_table(sys).bits):
+        absent |= (masks & bit == 0).astype(np.int64) << c
+    everything = (1 << len(sys._vertices)) - 1
+    tables = [
+        (lo, _subset_table(sys._vertex_sets[lo : lo + 8], and_, everything))
+        for lo in range(0, sys.num_constraints, 8)
+    ]
+    out = []
+    for a in absent.tolist():
+        vmask = everything
+        for lo, table in tables:
+            vmask &= table[a >> lo & 255]
+        out.append(vmask)
+    return out
+
+
 def phi(sys, face):
     """Diagram face of a polytope face: keep the boundary axes plus every
     edge whose paired constraint is not tight on the face.  The empty face
     maps to BOTTOM."""
     if face.is_empty:
         return BOTTOM
-    diagram = build_diagram(sys.spectrum.composition)
-    mask = diagram.axes_mask
-    for idx, con in enumerate(sys.constraints):
-        if face.tight_mask >> idx & 1:
-            continue
-        bit = diagram.edge_bit(*con.edge)
-        if bit == 0:
-            raise AssertionError(
-                f"non-tight constraint {con.kind}{(con.i, con.j)} pairs with an "
-                f"edge outside the diagram"
-            )
-        mask |= bit
-    result = DiagramFace(diagram, mask)
-    if not is_face(diagram, mask):
-        raise AssertionError("polytope face mapped to a non-face edge set")
-    return result
+    (mask,) = _face_images(sys, [face.tight_mask]).tolist()
+    return DiagramFace(build_diagram(sys.spectrum.composition), mask)
 
 
 def psi(diagram, face, system):
@@ -419,10 +517,7 @@ def psi(diagram, face, system):
             f"diagram composition {diagram.composition}"
         )
     face_lattice(system)
-    vmask = (1 << len(system._vertices)) - 1
-    for con, vs in zip(system.constraints, system._vertex_sets):
-        if not face.mask & diagram.edge_bit(*con.edge):
-            vmask &= vs
+    (vmask,) = _preimages(system, [face.mask])
     return system._face_of[vmask]
 
 
@@ -540,56 +635,86 @@ def inclusion_mismatch(left, right):
 def verify_isomorphism(spectrum):
     """Check that the edge-wise face map is a dimension-preserving lattice
     isomorphism between the polytope's nonempty faces and the diagram's
-    faces, with two-sided round trips."""
+    faces, with two-sided round trips.
+
+    All faces are mapped at once through the system's ``EdgeTable``, with
+    one recognizer call per image; dimensions come from the enumerator's
+    table and round trips are ANDs of vertex sets.  A failing check names
+    its first offender: a polytope face by its index among the nonempty
+    faces, an edge set by its hexadecimal mask.
+    """
     if not isinstance(spectrum, Spectrum):
         spectrum = Spectrum(spectrum)
     sys = GCSystem(spectrum)
     diagram = build_diagram(spectrum.composition)
     pfaces = [f for f in face_lattice(sys) if not f.is_empty]
     dfaces = enumerate_faces(diagram)
-    diagram_masks = set(dfaces.masks.tolist())
+    dmasks = dfaces.masks
 
-    counterexample = None
-    images = [phi(sys, f) for f in pfaces]
-    image_masks = [g.mask for g in images]
-    bijection_ok = (
-        len(set(image_masks)) == len(image_masks)
-        and set(image_masks) == diagram_masks
-    )
-    if not bijection_ok and counterexample is None:
-        counterexample = (
-            f"image count {len(set(image_masks))} vs "
-            f"{len(pfaces)} polytope faces, {len(dfaces)} diagram faces"
+    def hexed(mask):
+        return "0x" + hex_mask(diagram, int(mask))
+
+    problems = []  # one message per failing check, in the order checked
+    images = _face_images(sys, [f.tight_mask for f in pfaces])
+    pos = np.minimum(np.searchsorted(dmasks, images), len(dmasks) - 1)
+    found = dmasks[pos] == images
+    distinct, first = np.unique(images, return_index=True)
+    repeat = np.ones(len(images), dtype=bool)
+    repeat[first] = False
+    bad = np.flatnonzero(~found | repeat)
+    bijection_ok = not bad.size and len(images) == len(dmasks)
+    if bad.size:
+        i = bad[0]
+        if not found[i]:
+            problems.append(f"face #{i} maps to {hexed(images[i])}, not a diagram face")
+        else:
+            j = first[np.searchsorted(distinct, images[i])]
+            problems.append(f"faces #{j} and #{i} both map to {hexed(images[i])}")
+    elif not bijection_ok:
+        hit = np.zeros(len(dmasks), dtype=bool)
+        hit[pos] = True
+        problems.append(f"diagram face {hexed(dmasks[np.argmin(hit)])} is no face's image")
+
+    # An image the enumerator lacks (a failing report) is measured directly.
+    image_dims = dfaces.dims[pos].astype(np.int64)
+    for i in np.flatnonzero(~found):
+        image_dims[i] = face_dimension(DiagramFace(diagram, int(images[i])))
+    wrong_dim = np.flatnonzero(np.array([f.dim for f in pfaces]) != image_dims)
+    dimension_ok = not wrong_dim.size
+    if not dimension_ok:
+        i = wrong_dim[0]
+        problems.append(
+            f"dim {pfaces[i].dim} face #{i} maps to dim {image_dims[i]} face "
+            f"{hexed(images[i])}"
         )
 
-    dimension_ok = True
-    for f, g in zip(pfaces, images):
-        if f.dim != g.dim:
-            dimension_ok = False
-            if counterexample is None:
-                counterexample = f"dim {f.dim} face maps to dim {g.dim} face"
-            break
-
-    mismatch = inclusion_mismatch([f.vertex_mask for f in pfaces], image_masks)
+    mismatch = inclusion_mismatch([f.vertex_mask for f in pfaces], images.tolist())
     order_ok = mismatch is None
-    if not order_ok and counterexample is None:
-        counterexample = "inclusion mismatch between faces #{} and #{}".format(*mismatch)
+    if not order_ok:
+        a, b = mismatch
+        problems.append(
+            f"inclusion mismatch between faces #{a} and #{b} "
+            f"(images {hexed(images[a])} and {hexed(images[b])})"
+        )
 
-    roundtrip_ok = True
-    for f, g in zip(pfaces, images):
-        if psi(diagram, g, sys) != f:
-            roundtrip_ok = False
-            if counterexample is None:
-                counterexample = "psi(phi(F)) != F"
-            break
-    if roundtrip_ok:
-        for g in dfaces:
-            back = phi(sys, psi(diagram, g, sys))
-            if back is BOTTOM or back.mask != g.mask:
-                roundtrip_ok = False
-                if counterexample is None:
-                    counterexample = "phi(psi(gamma)) != gamma"
-                break
+    back = _preimages(sys, images)
+    lost = [i for i, (f, vmask) in enumerate(zip(pfaces, back)) if vmask != f.vertex_mask]
+    if lost:
+        i = lost[0]
+        problems.append(f"psi(phi(F)) != F at face #{i} (image {hexed(images[i])})")
+    else:
+        # The empty face and a vertex set outside the lattice fail; both are
+        # given every constraint as tight, so that the image is defined.
+        everything = (1 << sys.num_constraints) - 1
+        faces_back = [sys._face_of.get(vmask) for vmask in _preimages(sys, dmasks)]
+        again = _images(
+            sys, [everything if f is None else f.tight_mask for f in faces_back]
+        )
+        missed = np.array([f is None or f.is_empty for f in faces_back])
+        lost = np.flatnonzero(missed | (again != dmasks)).tolist()
+        if lost:
+            problems.append(f"phi(psi(gamma)) != gamma at {hexed(dmasks[lost[0]])}")
+    roundtrip_ok = not lost
 
     return IsoReport(
         spectrum=tuple(str(v) for v in spectrum.values),
@@ -601,5 +726,5 @@ def verify_isomorphism(spectrum):
         order_ok=order_ok,
         dimension_ok=dimension_ok,
         roundtrip_ok=roundtrip_ok,
-        counterexample=counterexample,
+        counterexample=problems[0] if problems else None,
     )

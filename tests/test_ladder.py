@@ -572,6 +572,11 @@ def test_edge_bound_composition_list():
     assert (3, 2) not in comps
     for comp in comps:
         assert diagram_edge_count(comp) == build_diagram(comp).num_edges <= 20
+    # the closed form against the built diagrams, zero parts included
+    for n in range(9):
+        for comp in compositions_of(n):
+            assert diagram_edge_count(comp) == build_diagram(comp).num_edges, comp
+    assert diagram_edge_count((0, 2, 0, 1)) == build_diagram((2, 1)).num_edges
 
 
 def test_census_matches_polynomial_up_to_n6():

@@ -1,19 +1,25 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from gcladder import ladder, polytope
 from gcladder.genfunc import f_vector
 from gcladder.ladder import (
     BOTTOM,
     DiagramFace,
+    FaceSet,
     build_diagram,
     compositions_of,
     enumerate_faces,
+    is_face,
 )
 from gcladder.polytope import (
     GCSystem,
+    IsoReport,
+    PolytopeFace,
     Spectrum,
     build_system,
     canonical_spectrum,
@@ -90,6 +96,103 @@ def all_pairs_mismatch(left, right):
             if (left[a] | left[b] == left[b]) != (right[a] | right[b] == right[b]):
                 return a, b
     return None
+
+
+# The per-face check that the array-native verify_isomorphism replaced: phi
+# and psi read the diagram's edge index one constraint at a time.
+
+
+def reference_phi(sys, face):
+    if face.is_empty:
+        return BOTTOM
+    diagram = build_diagram(sys.spectrum.composition)
+    mask = diagram.axes_mask
+    for idx, con in enumerate(sys.constraints):
+        if face.tight_mask >> idx & 1:
+            continue
+        bit = diagram.edge_bit(*con.edge)
+        if bit == 0:
+            raise AssertionError(
+                f"non-tight constraint {con.kind}{(con.i, con.j)} pairs with an "
+                f"edge outside the diagram"
+            )
+        mask |= bit
+    result = DiagramFace(diagram, mask)
+    if not is_face(diagram, mask):
+        raise AssertionError("polytope face mapped to a non-face edge set")
+    return result
+
+
+def reference_psi(diagram, face, system):
+    face_lattice(system)
+    vmask = (1 << len(system._vertices)) - 1
+    for con, vs in zip(system.constraints, system._vertex_sets):
+        if not face.mask & diagram.edge_bit(*con.edge):
+            vmask &= vs
+    return system._face_of[vmask]
+
+
+def reference_verify_isomorphism(spectrum):
+    sys = GCSystem(spectrum)
+    diagram = build_diagram(spectrum.composition)
+    pfaces = [f for f in face_lattice(sys) if not f.is_empty]
+    dfaces = enumerate_faces(diagram)
+    diagram_masks = set(dfaces.masks.tolist())
+
+    counterexample = None
+    images = [reference_phi(sys, f) for f in pfaces]
+    image_masks = [g.mask for g in images]
+    bijection_ok = (
+        len(set(image_masks)) == len(image_masks)
+        and set(image_masks) == diagram_masks
+    )
+    if not bijection_ok and counterexample is None:
+        counterexample = (
+            f"image count {len(set(image_masks))} vs "
+            f"{len(pfaces)} polytope faces, {len(dfaces)} diagram faces"
+        )
+
+    dimension_ok = True
+    for f, g in zip(pfaces, images):
+        if f.dim != g.dim:
+            dimension_ok = False
+            if counterexample is None:
+                counterexample = f"dim {f.dim} face maps to dim {g.dim} face"
+            break
+
+    mismatch = inclusion_mismatch([f.vertex_mask for f in pfaces], image_masks)
+    order_ok = mismatch is None
+    if not order_ok and counterexample is None:
+        counterexample = "inclusion mismatch between faces #{} and #{}".format(*mismatch)
+
+    roundtrip_ok = True
+    for f, g in zip(pfaces, images):
+        if reference_psi(diagram, g, sys) != f:
+            roundtrip_ok = False
+            if counterexample is None:
+                counterexample = "psi(phi(F)) != F"
+            break
+    if roundtrip_ok:
+        for g in dfaces:
+            back = reference_phi(sys, reference_psi(diagram, g, sys))
+            if back is BOTTOM or back.mask != g.mask:
+                roundtrip_ok = False
+                if counterexample is None:
+                    counterexample = "phi(psi(gamma)) != gamma"
+                break
+
+    return IsoReport(
+        spectrum=tuple(str(v) for v in spectrum.values),
+        composition=spectrum.composition,
+        diagram_counts=tuple(sorted(dfaces.census().items())),
+        polytope_counts=tuple(face_counts_by_dim(pfaces).items()),
+        face_count=len(pfaces),
+        bijection_ok=bijection_ok,
+        order_ok=order_ok,
+        dimension_ok=dimension_ok,
+        roundtrip_ok=roundtrip_ok,
+        counterexample=counterexample,
+    )
 
 
 class TestSpectrum:
@@ -393,3 +496,142 @@ class TestIsomorphism:
         for comp in compositions_of(n):
             report = verify_isomorphism(canonical_spectrum(comp))
             assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum])
+    def test_matches_reference_up_to_n4(self, spectrum_of):
+        for comp in compositions_up_to(4):
+            spectrum = spectrum_of(comp)
+            assert verify_isomorphism(spectrum) == reference_verify_isomorphism(spectrum)
+
+    @pytest.mark.parametrize("comp", [(1, 3, 1), (2, 3), (3, 1, 1)])
+    def test_matches_reference_at_n5(self, comp):
+        spectrum = canonical_spectrum(comp)
+        report = verify_isomorphism(spectrum)
+        assert report.passed and report == reference_verify_isomorphism(spectrum)
+
+    def test_one_recognizer_call_per_face(self, monkeypatch):
+        calls = []
+
+        def counted(diagram, mask):
+            calls.append(mask)
+            return is_face(diagram, mask)
+
+        monkeypatch.setattr(polytope, "is_face", counted)
+        monkeypatch.setattr(ladder, "is_face", counted)
+        report = verify_isomorphism(canonical_spectrum((1, 1, 1, 1)))
+        assert report.passed and report.face_count == 567
+        assert len(calls) <= 567
+
+
+# No vacuous PASS: each check fails on a program broken in the way it guards
+# against, and names the first offending face.
+
+
+def _failing_report(spectrum):
+    report = verify_isomorphism(spectrum)
+    assert not report.passed
+    assert report.summary().startswith("FAIL")
+    assert re.search(r"#\d+|0x[0-9a-f]+", report.counterexample)
+    return report
+
+
+def _edited_edge_table(monkeypatch, edit):
+    original = polytope.edge_table
+
+    def edited(sys):
+        table = original(sys)
+        bits = list(table.bits)
+        edit(bits)
+        return polytope.EdgeTable(bits, table.axes_mask)
+
+    monkeypatch.setattr(polytope, "edge_table", edited)
+
+
+def _edited_lattice(monkeypatch, edit):
+    original = polytope.face_lattice
+
+    def edited(sys):
+        faces = list(original(sys))
+        edit(sys, faces)
+        return tuple(faces)
+
+    monkeypatch.setattr(polytope, "face_lattice", edited)
+
+
+class TestMutations:
+    def test_two_constraints_on_one_edge(self, monkeypatch):
+        # up(1, 1) takes the edge of down(1, 1): a vertex and an edge of the
+        # polytope get one image, and the order is lost.
+        def edit(bits):
+            bits[0] = bits[3]
+
+        _edited_edge_table(monkeypatch, edit)
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.bijection_ok and not report.order_ok
+        assert report.counterexample == "faces #0 and #3 both map to 0x3fd"
+
+    def test_swapped_edges_fail_the_bijection(self, monkeypatch):
+        # Swapping two constraints' edges relabels two edge bits, which keeps
+        # every inclusion, so the order check cannot see it; the recognizer
+        # rejects the first image that is no face, and without it the
+        # bijection check finds that image missing from the diagram faces.
+        def edit(bits):
+            bits[0], bits[1] = bits[1], bits[0]
+
+        _edited_edge_table(monkeypatch, edit)
+        with pytest.raises(AssertionError, match="non-face edge set 0x5fd"):
+            verify_isomorphism(Spectrum((2, 1, 0)))
+        sys = build_system(Spectrum((2, 1, 0)))
+        with pytest.raises(AssertionError, match="non-face edge set 0x5fd"):
+            phi(sys, face_lattice(sys)[2])  # face #1; #0 of the lattice is empty
+        monkeypatch.setattr(polytope, "is_face", lambda diagram, mask: True)
+        monkeypatch.setattr(ladder, "is_face", lambda diagram, mask: True)
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.bijection_ok and report.order_ok
+        assert report.counterexample == "face #1 maps to 0x5fd, not a diagram face"
+
+    def test_off_by_one_dimension(self, monkeypatch):
+        def edit(sys, faces):
+            k = next(k for k, f in enumerate(faces) if f.dim == 2)
+            f = faces[k]
+            faces[k] = PolytopeFace(sys, f.vertex_mask, f.tight_mask, f.dim + 1)
+
+        _edited_lattice(monkeypatch, edit)
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.dimension_ok
+        assert report.bijection_ok and report.order_ok and report.roundtrip_ok
+        assert re.fullmatch(r"dim 3 face #\d+ maps to dim 2 face 0x[0-9a-f]{3}", report.counterexample)
+
+    def test_corrupted_vertex_set(self, monkeypatch):
+        # drop one vertex from the set of the first constraint tight on two
+        def edit(sys, faces):
+            vs = list(sys._vertex_sets)
+            c = next(c for c, v in enumerate(vs) if v.bit_count() > 1)
+            vs[c] &= vs[c] - 1
+            sys._vertex_sets = tuple(vs)
+
+        _edited_lattice(monkeypatch, edit)
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.roundtrip_ok
+        assert report.bijection_ok and report.order_ok and report.dimension_ok
+        assert re.fullmatch(r"psi\(phi\(F\)\) != F at face #\d+ \(image 0x[0-9a-f]{3}\)", report.counterexample)
+
+    def test_enumeration_with_a_wrong_face(self, monkeypatch):
+        # The enumerator lists 0xffe, which lacks an axis edge, with dim 0 in
+        # place of the top face 0xfff: the top's image is missing but still
+        # gets its own dimension, and 0xffe does not come back from the
+        # round trip.
+        original = polytope.enumerate_faces
+
+        def wrong_top(diagram):
+            faces = original(diagram)
+            masks, dims = faces.masks.copy(), faces.dims.copy()
+            masks[-1] ^= 1
+            dims[-1] = 0
+            return FaceSet(diagram, masks, dims)
+
+        monkeypatch.setattr(polytope, "enumerate_faces", wrong_top)
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.bijection_ok and not report.roundtrip_ok
+        assert report.dimension_ok and report.order_ok
+        assert report.counterexample == "face #24 maps to 0xfff, not a diagram face"
