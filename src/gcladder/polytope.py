@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import and_, or_
 
 import numpy as np
 
@@ -152,6 +151,7 @@ class GCSystem:
         "_faces",
         "_face_of",
         "_edge_table",
+        "_vertex_tables",
     )
 
     def __init__(self, spectrum):
@@ -196,6 +196,7 @@ class GCSystem:
         self._faces = None
         self._face_of = None
         self._edge_table = None
+        self._vertex_tables = None
 
     @property
     def num_constraints(self):
@@ -398,41 +399,27 @@ def face_counts_by_dim(faces):
     return dict(sorted(Counter(f.dim for f in faces if not f.is_empty).items()))
 
 
-def _subset_table(items, combine, unit):
-    """``table[b]`` is ``unit`` combined with ``items[i]`` for every set bit i
-    of ``b``, for all ``b < 2 ** len(items)``."""
-    table = [unit]
-    for item in items:
-        table += [combine(x, item) for x in table]
-    return table
-
-
 class EdgeTable:
     """The edge paired with each constraint of a system, as diagram bits.
 
     ``bits[c]`` is the edge bit of constraint ``c``, or 0 when the diagram
-    lacks that edge; ``outside`` is the mask of those constraints.  The
-    image of a polytope face is ``axes_mask`` OR the bits of the constraints
-    not tight on it, read from one subset table per byte of the tight mask.
+    lacks that edge; ``outside`` is the mask of those constraints.
     """
 
-    __slots__ = ("bits", "outside", "axes_mask", "_bytes")
+    __slots__ = ("bits", "outside", "axes_mask")
 
     def __init__(self, bits, axes_mask):
         self.bits = tuple(bits)
         self.outside = sum(1 << c for c, bit in enumerate(self.bits) if not bit)
         self.axes_mask = axes_mask
-        self._bytes = [
-            (lo, np.array(_subset_table(self.bits[lo : lo + 8], or_, 0), dtype=np.int64))
-            for lo in range(0, len(self.bits), 8)
-        ]
 
     def images(self, tight_masks):
-        """Edge masks of the faces with these tight masks (int64 array)."""
-        loose = ~np.asarray(tight_masks, dtype=np.int64)
-        out = np.full(loose.shape, self.axes_mask, dtype=np.int64)
-        for lo, table in self._bytes:
-            out |= table[(loose >> lo) & (len(table) - 1)]
+        """Edge masks of the faces with these tight masks: ``axes_mask`` OR
+        the bits of the constraints not tight on each (int64 array)."""
+        tight_masks = np.asarray(tight_masks, dtype=np.int64)
+        out = np.full(tight_masks.shape, self.axes_mask, dtype=np.int64)
+        for c, bit in enumerate(self.bits):
+            out |= np.where(tight_masks >> c & 1, 0, bit)
         return out
 
 
@@ -475,6 +462,22 @@ def _face_images(sys, tight_masks):
     return images
 
 
+def _vertex_set_tables(sys):
+    """For each byte of constraints, the AND of their vertex sets for every
+    subset of the byte: ``tables[k][b]`` for the constraints ``8k + i``
+    with bit i set in ``b``.  Built once, after the face lattice."""
+    if sys._vertex_tables is None:
+        everything = (1 << len(sys._vertices)) - 1
+        tables = []
+        for lo in range(0, sys.num_constraints, 8):
+            table = [everything]
+            for vs in sys._vertex_sets[lo : lo + 8]:
+                table += [x & vs for x in table]
+            tables.append(table)
+        sys._vertex_tables = tables
+    return sys._vertex_tables
+
+
 def _preimages(sys, masks):
     """Vertex mask of the polytope face of each edge mask: the AND of the
     vertex sets of the constraints whose edge bit the mask lacks."""
@@ -482,16 +485,13 @@ def _preimages(sys, masks):
     absent = np.zeros(masks.shape, dtype=np.int64)
     for c, bit in enumerate(edge_table(sys).bits):
         absent |= (masks & bit == 0).astype(np.int64) << c
+    tables = _vertex_set_tables(sys)
     everything = (1 << len(sys._vertices)) - 1
-    tables = [
-        (lo, _subset_table(sys._vertex_sets[lo : lo + 8], and_, everything))
-        for lo in range(0, sys.num_constraints, 8)
-    ]
     out = []
     for a in absent.tolist():
         vmask = everything
-        for lo, table in tables:
-            vmask &= table[a >> lo & 255]
+        for k, table in enumerate(tables):
+            vmask &= table[a >> 8 * k & 255]
         out.append(vmask)
     return out
 
@@ -499,7 +499,14 @@ def _preimages(sys, masks):
 def phi(sys, face):
     """Diagram face of a polytope face: keep the boundary axes plus every
     edge whose paired constraint is not tight on the face.  The empty face
-    maps to BOTTOM."""
+    maps to BOTTOM.
+
+    Given a sequence of nonempty faces instead, returns their edge masks as
+    one int64 array.  Either way each image gets one recognizer call, and a
+    non-face image raises ``AssertionError``.
+    """
+    if not isinstance(face, PolytopeFace):
+        return _face_images(sys, [f.tight_mask for f in face])
     if face.is_empty:
         return BOTTOM
     (mask,) = _face_images(sys, [face.tight_mask]).tolist()
@@ -508,7 +515,11 @@ def phi(sys, face):
 
 def psi(diagram, face, system):
     """Polytope face of a diagram face: the vertices tight on the
-    constraints of all absent edges, looked up in the face lattice."""
+    constraints of all absent edges, looked up in the face lattice.
+
+    Given an array of edge masks instead, returns the list of their faces,
+    with None where the vertex set is no face of the polytope.
+    """
     if isinstance(system, Spectrum):
         system = GCSystem(system)
     if system.spectrum.composition != diagram.composition:
@@ -517,6 +528,8 @@ def psi(diagram, face, system):
             f"diagram composition {diagram.composition}"
         )
     face_lattice(system)
+    if not isinstance(face, DiagramFace):
+        return [system._face_of.get(vmask) for vmask in _preimages(system, face)]
     (vmask,) = _preimages(system, [face.mask])
     return system._face_of[vmask]
 
@@ -637,9 +650,10 @@ def verify_isomorphism(spectrum):
     isomorphism between the polytope's nonempty faces and the diagram's
     faces, with two-sided round trips.
 
-    All faces are mapped at once through the system's ``EdgeTable``, with
-    one recognizer call per image; dimensions come from the enumerator's
-    table and round trips are ANDs of vertex sets.  A failing check names
+    All faces are mapped at once, by one ``phi`` call on every nonempty
+    face and one ``psi`` call each way of the round trip, with one
+    recognizer call per image; dimensions come from the enumerator's table
+    and the preimages are ANDs of vertex sets.  A failing check names
     its first offender: a polytope face by its index among the nonempty
     faces, an edge set by its hexadecimal mask.
     """
@@ -655,7 +669,7 @@ def verify_isomorphism(spectrum):
         return "0x" + hex_mask(diagram, int(mask))
 
     problems = []  # one message per failing check, in the order checked
-    images = _face_images(sys, [f.tight_mask for f in pfaces])
+    images = phi(sys, pfaces)
     pos = np.minimum(np.searchsorted(dmasks, images), len(dmasks) - 1)
     found = dmasks[pos] == images
     distinct, first = np.unique(images, return_index=True)
@@ -697,8 +711,12 @@ def verify_isomorphism(spectrum):
             f"(images {hexed(images[a])} and {hexed(images[b])})"
         )
 
-    back = _preimages(sys, images)
-    lost = [i for i, (f, vmask) in enumerate(zip(pfaces, back)) if vmask != f.vertex_mask]
+    back = psi(diagram, images, sys)
+    lost = [
+        i
+        for i, (f, g) in enumerate(zip(pfaces, back))
+        if g is None or g.vertex_mask != f.vertex_mask
+    ]
     if lost:
         i = lost[0]
         problems.append(f"psi(phi(F)) != F at face #{i} (image {hexed(images[i])})")
@@ -706,7 +724,7 @@ def verify_isomorphism(spectrum):
         # The empty face and a vertex set outside the lattice fail; both are
         # given every constraint as tight, so that the image is defined.
         everything = (1 << sys.num_constraints) - 1
-        faces_back = [sys._face_of.get(vmask) for vmask in _preimages(sys, dmasks)]
+        faces_back = psi(diagram, dmasks, sys)
         again = _images(
             sys, [everything if f is None else f.tight_mask for f in faces_back]
         )

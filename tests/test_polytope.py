@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gcladder import ladder, polytope
@@ -365,6 +366,19 @@ class TestPhiPsi:
             assert psi(diagram, phi(sys, face), sys) == face
         for gamma in enumerate_faces(diagram):
             assert phi(sys, psi(diagram, gamma, sys)).mask == gamma.mask
+
+    def test_batches_match_single_faces(self):
+        sys = build_system(Spectrum((2, 1, 1, 0)))
+        diagram = build_diagram((1, 2, 1))
+        pfaces = [f for f in face_lattice(sys) if not f.is_empty]
+        images = phi(sys, pfaces)
+        assert images.tolist() == [phi(sys, f).mask for f in pfaces]
+        gammas = list(enumerate_faces(diagram))
+        back = psi(diagram, np.array([g.mask for g in gammas]), sys)
+        tables = sys._vertex_tables
+        assert back == [psi(diagram, g, sys) for g in gammas]
+        assert psi(diagram, images, sys) == pfaces
+        assert sys._vertex_tables is tables  # built once per system
 
     def test_psi_rejects_mismatched_composition(self):
         diagram = build_diagram((1, 1, 1))
