@@ -8,13 +8,10 @@ from .genfunc import (
     TruncatedSeries,
     f_polynomial,
     f_vector,
-    fpolynomial_egf,
     interaction_product,
     pde_operator,
-    restrict_to_zero,
     verify_generating_pde,
     verify_vertex_pde,
-    vertex_count_egf,
     vertex_pde_operator,
     word_operator,
 )
@@ -64,7 +61,6 @@ from .words import (
     r_transform,
     reduce_composition,
     word_tilde,
-    word_transforms,
     word_weight,
 )
 

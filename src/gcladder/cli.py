@@ -50,10 +50,13 @@ PDE_S_RANGE = (1, 2, 3)
 # series inputs are compositions with n <= degree, so the degree bound is
 # the fvector bound.  On a 2-core Xeon the slowest accepted check,
 # `verify pde --s 5 --degree 12`, takes about 2 s (the word-action check of
-# `verify all --degree 12` about 1.8 s); s = 6 takes about 5 s at degree
+# `verify all --degree 12` about 0.7 s); s = 6 takes about 5 s at degree
 # 12, and each further unit of degree costs about 2-3x more.
 MAX_PDE_S = 5
 MAX_PDE_DEGREE = MAX_FVECTOR_N
+# Smallest --degree that `verify all` accepts: every word of its s = 3
+# word-action check has order 2, so below degree 2 it would compare nothing.
+MIN_ALL_DEGREE = 2
 _WORD_LETTER = {(1, 0): "R", (0, 1): "U", (1, 1): "B"}
 
 
@@ -271,6 +274,10 @@ def cmd_verify(args):
                     f"--s {s} --degree {args.degree} exceeds the bound "
                     f"s <= {MAX_PDE_S}, degree <= {MAX_PDE_DEGREE}"
                 )
+    if args.target == "all" and args.degree < MIN_ALL_DEGREE:
+        raise ValueError(
+            f"verify all needs --degree >= {MIN_ALL_DEGREE}, got {args.degree}"
+        )
     golden = None
     if args.target in ("oracle", "all"):
         if args.max_n is not None:

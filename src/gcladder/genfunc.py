@@ -8,13 +8,12 @@ empty composition as base case F = 1), one term per distinct child
 composition: ``words.child_groups`` merges the words by child and counts
 them by weight.
 
-``fpolynomial_egf`` assembles the exponential generating function of the
-f-polynomials, truncated at a total degree, with exact rational
-coefficients: the coefficient of x^k is F_k(t)/k!.  ``DiffOperator``
-implements exact constant-coefficient operators built from first-order
-partial derivatives and multiplication by t; applying an operator of order
-m to a truncation of degree N leaves coefficients that are trustworthy
-only up to N - m, and the series tracks that bound explicitly.
+The exponential generating function of the f-polynomials has F_k(t)/k!
+as its coefficient of x^k.  ``DiffOperator`` implements exact
+constant-coefficient operators built from first-order partial derivatives
+and multiplication by t; applied to a truncation of degree N, an operator
+of order m leaves coefficients that are trustworthy only up to N - m, and
+``TruncatedSeries`` carries that bound explicitly.
 
 The verification entry points check, coefficient by coefficient and
 target-first (``DiffOperator.apply_to_egf``, never building the series),
@@ -29,7 +28,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
@@ -235,14 +234,6 @@ class TruncatedSeries:
     def is_zero(self):
         return not self.terms
 
-    def at_t_zero(self):
-        """Specialize every coefficient polynomial at t = 0."""
-        return TruncatedSeries(
-            self.num_vars,
-            self.validity_degree,
-            {k: TPoly((p.coefficient(0),)) for k, p in self.terms.items()},
-        )
-
     def nonzero_terms(self):
         return sorted(self.terms.items())
 
@@ -260,44 +251,6 @@ class TruncatedSeries:
             f"TruncatedSeries(vars={self.num_vars}, "
             f"valid<={self.validity_degree}, terms={len(self.terms)})"
         )
-
-
-def restrict_to_zero(series, zero_vars):
-    """Set the listed variables to zero and project them out.
-
-    Implemented through explicit index maps: terms touching a zeroed
-    variable are dropped, surviving exponent vectors are re-indexed onto
-    the remaining positions.
-    """
-    zero = sorted(set(zero_vars))
-    for z in zero:
-        if not 0 <= z < series.num_vars:
-            raise ValueError(f"variable index {z} out of range")
-    keep = [i for i in range(series.num_vars) if i not in set(zero)]
-    terms = {}
-    for exps, poly in series.terms.items():
-        if any(exps[z] for z in zero):
-            continue
-        terms[tuple(exps[i] for i in keep)] = poly
-    return TruncatedSeries(len(keep), series.validity_degree, terms)
-
-
-def fpolynomial_egf(num_vars, degree):
-    """Truncated EGF of f-polynomials: coefficient of x^k is F_k(t)/k!."""
-    if num_vars < 1:
-        raise ValueError("need at least one variable")
-    if degree < 0:
-        raise ValueError("degree bound must be non-negative")
-    terms = {}
-    for exps in bounded_exponents(num_vars, degree):
-        poly = f_polynomial(exps) * Fraction(1, _factorial_product(exps))
-        terms[exps] = poly
-    return TruncatedSeries(num_vars, degree, terms)
-
-
-def vertex_count_egf(num_vars, degree):
-    """Truncated EGF of vertex counts (the t = 0 specialization)."""
-    return fpolynomial_egf(num_vars, degree).at_t_zero()
 
 
 class DiffOperator:
@@ -399,38 +352,11 @@ class DiffOperator:
     def __repr__(self):
         return f"DiffOperator(vars={self.num_vars}, terms={len(self.terms)})"
 
-    def apply(self, series):
-        """Act termwise; the result's validity degree drops by the order."""
-        if series.num_vars != self.num_vars:
-            raise ValueError("operator and series variable counts differ")
-        m = self.order
-        if m > series.validity_degree:
-            raise ValueError(
-                f"operator order {m} exceeds series validity degree "
-                f"{series.validity_degree}"
-            )
-        validity = series.validity_degree - m
-        acc = {}
-        for (t_pow, orders), coeff in self.terms.items():
-            for exps, poly in series.terms.items():
-                if any(o > e for o, e in zip(orders, exps)):
-                    continue
-                new_exps = tuple(e - o for e, o in zip(exps, orders))
-                if sum(new_exps) > validity:
-                    continue
-                factor = 1
-                for e, o in zip(exps, orders):
-                    for i in range(e - o + 1, e + 1):
-                        factor *= i
-                contrib = (poly * (coeff * factor)).shift(t_pow)
-                prev = acc.get(new_exps)
-                acc[new_exps] = contrib if prev is None else prev + contrib
-        return TruncatedSeries(self.num_vars, validity, acc)
-
     def apply_to_egf(self, exp_coefficient, degree, zero_vars=()):
-        """``restrict_to_zero(self.apply(series), zero_vars)``, computed
-        target-first, for the series truncated at ``degree`` whose
-        coefficient of x^k is ``exp_coefficient(k) / k!``.
+        """This operator applied to the series truncated at ``degree`` whose
+        coefficient of x^k is ``exp_coefficient(k) / k!``, with the
+        variables ``zero_vars`` set to zero and projected out, computed
+        target-first.
 
         A derivative d^o maps x^(k+o)/(k+o)! to x^k/k!, so each output
         exponent k (zero at ``zero_vars``, total within the validity
@@ -589,13 +515,6 @@ def verify_vertex_pde(s, degree):
     )
 
 
-def monomial_series(s, k, e):
-    """The single scaled monomial (x*y)^(k*e)/(k*e)! in interleaved layout."""
-    exps = interleave(tuple(k), tuple(e))
-    poly = TPoly.ONE * Fraction(1, _factorial_product(exps))
-    return TruncatedSeries(2 * s - 1, sum(exps), {exps: poly})
-
-
 def expected_word_action(s, k, e, w):
     """Closed form for a word operator acting on one monomial, after y = 0:
     t^|w| x^(d)/d! when e marks the BOTH positions and d = d_transform(k, w)
@@ -611,20 +530,33 @@ def expected_word_action(s, k, e, w):
 
 def check_word_action(s, max_degree):
     """Exhaustively compare word-operator action on monomials of total
-    degree <= max_degree against the closed form.  Returns mismatches."""
+    degree <= max_degree against the closed form.  Returns mismatches.
+
+    A word operator is one monomial c t^p d^o, so on x^K/K! it gives the
+    single term c t^p x^(K-o)/(K-o)! when K >= o and zero otherwise; the
+    y = 0 restriction keeps that term only when its y exponents vanish.
+    """
+    monomials = [
+        (k, e, interleave(k, e))
+        for k in bounded_exponents(s, max_degree)
+        for e in bounded_exponents(s - 1, max_degree - sum(k))
+    ]
     bad = []
-    yv = interleaved_y_vars(s)
     for w in all_words(s - 1):
-        op = word_operator(s, w)
-        order = op.order
-        for k in bounded_exponents(s, max_degree):
-            for e in bounded_exponents(s - 1, max_degree - sum(k)):
-                if order > sum(k) + sum(e):
-                    continue
-                got = restrict_to_zero(op.apply(monomial_series(s, k, e)), yv)
-                want = expected_word_action(s, k, e, w)
-                if got != want:
-                    bad.append((w, k, e))
+        [((t_pow, orders), c)] = word_operator(s, w).terms.items()
+        order = sum(orders)
+        for k, e, exps in monomials:
+            validity = sum(exps) - order
+            if validity < 0:
+                continue
+            out = tuple(map(sub, exps, orders))
+            terms = {}
+            # interleaved layout: x exponents at even positions, y at odd
+            if min(out) >= 0 and not any(out[1::2]):
+                x = out[::2]
+                terms[x] = TPoly.ONE.shift(t_pow) * (c / _factorial_product(x))
+            if TruncatedSeries(s, validity, terms) != expected_word_action(s, k, e, w):
+                bad.append((w, k, e))
     return bad
 
 

@@ -54,7 +54,10 @@ class Spectrum:
             raise ValueError("spectrum must be non-empty")
         for a, b in zip(vals, vals[1:]):
             if a < b:
-                raise ValueError(f"spectrum must be weakly decreasing, got {vals}")
+                raise ValueError(
+                    "spectrum must be weakly decreasing, got "
+                    + ", ".join(str(v) for v in vals)
+                )
         comp = []
         prev = None
         for v in vals:

@@ -153,7 +153,3 @@ def child_groups(comp):
         _add_counts(groups, prefix + last[beta], counts, 0)
     return groups
 
-
-def word_transforms(k, w):
-    """Bundle (d, r, tilde, weight) for a composition/word pair."""
-    return d_transform(k, w), r_transform(k, w), word_tilde(w), word_weight(w)

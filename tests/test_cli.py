@@ -225,6 +225,8 @@ WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
         (["verify", "gkt", "--s", "2", "--degree", "13"], "degree <= 12"),
         (["verify", "all", "--degree", "13"], "degree <= 12"),
         (["verify", "all", "--s", "6", "--degree", "6"], "s <= 5"),
+        (["verify", "all", "--s", "1", "--degree", "1"], "verify all needs --degree >= 2, got 1"),
+        (["verify", "iso", "--lambda", "1,2"], "spectrum must be weakly decreasing, got 1, 2"),
     ],
 )
 def test_refusal_contract(argv, reason, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import functools
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,19 +21,15 @@ from gcladder.genfunc import (
     expected_word_action,
     f_polynomial,
     f_vector,
-    fpolynomial_egf,
     interaction_product,
     interleaved_y_vars,
-    monomial_series,
     pde_operator,
-    restrict_to_zero,
     verify_generating_pde,
     verify_vertex_pde,
-    vertex_count_egf,
     word_operator,
 )
 from gcladder.ladder import compositions_of, face_census
-from gcladder.words import all_words, child_composition, word_weight
+from gcladder.words import all_words, child_composition, interleave, word_weight
 
 compositions = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4).map(
     tuple
@@ -64,6 +61,95 @@ def per_word_f_polynomial(comp):
     for w in all_words(len(comp) - 1):
         acc = acc + per_word_f_polynomial(child_composition(comp, w)).shift(word_weight(w))
     return acc
+
+
+# The dense series path: the whole truncated series is built and pushed
+# through an operator term by term.  It is the reference the target-first
+# checks are compared against.  The f-polynomials and the closed form are
+# read through ``genfunc`` at call time, so a monkeypatched library
+# function reaches the reference too.
+
+
+def _factorials(exps):
+    return prod(factorial(e) for e in exps)
+
+
+def fpolynomial_egf(num_vars, degree):
+    """Truncated EGF of f-polynomials: coefficient of x^k is F_k(t)/k!."""
+    terms = {
+        exps: genfunc.f_polynomial(exps) * Fraction(1, _factorials(exps))
+        for exps in bounded_exponents(num_vars, degree)
+    }
+    return TruncatedSeries(num_vars, degree, terms)
+
+
+def at_t_zero(series):
+    """Specialize every coefficient polynomial at t = 0."""
+    terms = {k: TPoly((p.coefficient(0),)) for k, p in series.terms.items()}
+    return TruncatedSeries(series.num_vars, series.validity_degree, terms)
+
+
+def vertex_count_egf(num_vars, degree):
+    """Truncated EGF of vertex counts (the t = 0 specialization)."""
+    return at_t_zero(fpolynomial_egf(num_vars, degree))
+
+
+def monomial_series(s, k, e):
+    """The single scaled monomial (x*y)^(k*e)/(k*e)! in interleaved layout."""
+    exps = interleave(tuple(k), tuple(e))
+    poly = TPoly.ONE * Fraction(1, _factorials(exps))
+    return TruncatedSeries(2 * s - 1, sum(exps), {exps: poly})
+
+
+def restrict_to_zero(series, zero_vars):
+    """Set the listed variables to zero and project them out."""
+    zero = set(zero_vars)
+    keep = [i for i in range(series.num_vars) if i not in zero]
+    terms = {
+        tuple(exps[i] for i in keep): poly
+        for exps, poly in series.terms.items()
+        if not any(exps[z] for z in zero)
+    }
+    return TruncatedSeries(len(keep), series.validity_degree, terms)
+
+
+def dense_apply(op, series):
+    """Act termwise; the result's validity degree drops by the order."""
+    m = op.order
+    if m > series.validity_degree:
+        raise ValueError(
+            f"operator order {m} exceeds series validity degree {series.validity_degree}"
+        )
+    validity = series.validity_degree - m
+    acc = {}
+    for (t_pow, orders), coeff in op.terms.items():
+        for exps, poly in series.terms.items():
+            if any(o > e for o, e in zip(orders, exps)):
+                continue
+            new_exps = tuple(e - o for e, o in zip(exps, orders))
+            if sum(new_exps) > validity:
+                continue
+            factor = _factorials(exps) // _factorials(new_exps)
+            contrib = (poly * (coeff * factor)).shift(t_pow)
+            acc[new_exps] = acc.get(new_exps, TPoly.ZERO) + contrib
+    return TruncatedSeries(op.num_vars, validity, acc)
+
+
+def dense_word_action(s, max_degree):
+    """Reference for ``check_word_action``: each word operator pushed through
+    single-monomial series."""
+    bad = []
+    yv = interleaved_y_vars(s)
+    for w in all_words(s - 1):
+        op = word_operator(s, w)
+        for k in bounded_exponents(s, max_degree):
+            for e in bounded_exponents(s - 1, max_degree - sum(k)):
+                if op.order > sum(k) + sum(e):
+                    continue
+                got = restrict_to_zero(dense_apply(op, monomial_series(s, k, e)), yv)
+                if got != genfunc.expected_word_action(s, k, e, w):
+                    bad.append((w, k, e))
+    return bad
 
 
 class TestTPoly:
@@ -196,24 +282,24 @@ class TestSeries:
 class TestOperators:
     def test_identity(self):
         series = fpolynomial_egf(2, 3)
-        assert DiffOperator.identity(2).apply(series) == series
+        assert dense_apply(DiffOperator.identity(2), series) == series
 
     def test_partial_on_monomial(self):
         series = TruncatedSeries(2, 3, {(2, 1): TPoly.ONE})
-        out = DiffOperator.partial(2, 0).apply(series)
+        out = dense_apply(DiffOperator.partial(2, 0), series)
         assert out.coefficient((1, 1)) == TPoly((2,))
         assert out.validity_degree == 2
 
     def test_t_times(self):
         series = TruncatedSeries(1, 1, {(1,): TPoly((3,))})
-        out = DiffOperator.t_times(1).apply(series)
+        out = dense_apply(DiffOperator.t_times(1), series)
         assert out.coefficient((1,)) == TPoly((0, 3))
 
     def test_order_refusal(self):
         series = fpolynomial_egf(2, 1)
         heavy = DiffOperator.partial(2, 0) * DiffOperator.partial(2, 1)
         with pytest.raises(ValueError, match="order"):
-            heavy.apply(series)
+            dense_apply(heavy, series)
 
     @pytest.mark.parametrize("zero_vars", [(), (1,), (0, 2)])
     def test_apply_to_egf_matches_dense(self, zero_vars):
@@ -221,7 +307,7 @@ class TestOperators:
         d = [DiffOperator.partial(3, v) for v in range(3)]
         t = DiffOperator.t_times(3)
         op = Fraction(1, 2) * t * d[0] * d[1] - Fraction(2, 3) * d[2] * d[2] + t * t
-        want = restrict_to_zero(op.apply(fpolynomial_egf(3, 5)), zero_vars)
+        want = restrict_to_zero(dense_apply(op, fpolynomial_egf(3, 5)), zero_vars)
         assert op.apply_to_egf(f_polynomial, 5, zero_vars) == want
         with pytest.raises(ValueError, match="out of range"):
             op.apply_to_egf(f_polynomial, 5, (3,))
@@ -241,7 +327,7 @@ class TestOperators:
         total = DiffOperator(2 * s - 1)
         for w in all_words(s - 1):
             total = total + word_operator(s, w)
-        assert total.apply(series) == interaction_product(s).apply(series)
+        assert dense_apply(total, series) == dense_apply(interaction_product(s), series)
 
     def test_word_operator_orders(self):
         # BOTH consumes a y derivative and a factor of t; RIGHT/UP consume
@@ -258,7 +344,7 @@ class TestOperators:
         # a BOTH word hitting its matching monomial
         s, k, e, w = 2, (1, 1), (1,), ((1, 1),)
         got = restrict_to_zero(
-            word_operator(s, w).apply(monomial_series(s, k, e)),
+            dense_apply(word_operator(s, w), monomial_series(s, k, e)),
             interleaved_y_vars(s),
         )
         want = expected_word_action(s, k, e, w)
@@ -267,7 +353,7 @@ class TestOperators:
     def test_word_action_zero_when_marks_differ(self):
         s, k, e, w = 2, (1, 1), (1,), ((1, 0),)
         got = restrict_to_zero(
-            word_operator(s, w).apply(monomial_series(s, k, e)),
+            dense_apply(word_operator(s, w), monomial_series(s, k, e)),
             interleaved_y_vars(s),
         )
         assert got.is_zero
@@ -285,12 +371,12 @@ def _report(identity, s, degree, result):
 def dense_generating_report(s, degree):
     """Reference: the whole truncated EGF, pushed through the operator."""
     series = fpolynomial_egf(2 * s - 1, degree)
-    result = restrict_to_zero(genfunc.pde_operator(s).apply(series), interleaved_y_vars(s))
+    result = restrict_to_zero(dense_apply(genfunc.pde_operator(s), series), interleaved_y_vars(s))
     return _report("fpolynomial-egf", s, degree, result)
 
 
 def dense_vertex_report(s, degree):
-    result = genfunc.vertex_pde_operator(s).apply(vertex_count_egf(s, degree))
+    result = dense_apply(genfunc.vertex_pde_operator(s), vertex_count_egf(s, degree))
     return _report("vertex-egf", s, degree, result)
 
 
@@ -350,12 +436,30 @@ class TestPde:
         lead = DiffOperator.identity(3)
         for v in (0, 2):
             lead = lead * DiffOperator.partial(3, v)
-        result = restrict_to_zero(lead.apply(series), interleaved_y_vars(2))
+        result = restrict_to_zero(dense_apply(lead, series), interleaved_y_vars(2))
         assert not result.is_zero
 
     def test_degree_precondition(self):
         with pytest.raises(ValueError):
             verify_generating_pde(3, 2)
+
+
+@pytest.mark.parametrize("s, degree", [(2, 6), (3, 6), (4, 4)], ids=["(2,6)", "(3,6)", "(4,4)"])
+def test_word_action_matches_dense(s, degree, monkeypatch):
+    assert check_word_action(s, degree) == dense_word_action(s, degree) == []
+
+    # a closed form one power of t off wherever k_1 = 2
+    def broken(s, k, e, w, true=genfunc.expected_word_action):
+        want = true(s, k, e, w)
+        if k[0] != 2:
+            return want
+        terms = {x: poly.shift(1) for x, poly in want.terms.items()}
+        return TruncatedSeries(want.num_vars, want.validity_degree, terms)
+
+    monkeypatch.setattr(genfunc, "expected_word_action", broken)
+    bad = check_word_action(s, degree)
+    assert bad and bad == dense_word_action(s, degree)
+    assert all(k[0] == 2 for _, k, _ in bad)
 
 
 def test_transform_round_trip_check():

@@ -18,7 +18,6 @@ from gcladder.words import (
     r_transform,
     reduce_composition,
     word_tilde,
-    word_transforms,
     word_weight,
 )
 from gcladder.ladder import compositions_of
@@ -48,6 +47,9 @@ def test_transforms_on_pair():
     assert r_transform((1, 1), (BOTH,)) == (0, 0)
     assert word_tilde((BOTH,)) == (1,)
     assert word_weight((BOTH,)) == 1
+    assert d_transform((1, 1), (BOTH,)) == (1, 1)
+    # r undoes d after adding one to every part
+    assert r_transform((2, 2), (BOTH,)) == (1, 1)
     assert r_transform((1, 1), (RIGHT,)) == (0, 1)
     assert word_tilde((RIGHT,)) == (0,)
     assert r_transform((1, 1), (UP,)) == (1, 0)
@@ -58,14 +60,6 @@ def test_interleave():
     assert interleave((5,), ()) == (5,)
     with pytest.raises(ValueError):
         interleave((1, 2), (1, 2))
-
-
-def test_word_transforms_bundle():
-    d, r, tilde, weight = word_transforms((1, 1), (BOTH,))
-    assert r == (0, 0) and tilde == (1,) and weight == 1
-    # r undoes d after adding one to every part
-    assert d == (1, 1)
-    assert r_transform(tuple(x + 1 for x in d), (BOTH,)) == (1, 1)
 
 
 @given(
