@@ -47,12 +47,18 @@ def test_transforms_on_pair():
     assert r_transform((1, 1), (BOTH,)) == (0, 0)
     assert word_tilde((BOTH,)) == (1,)
     assert word_weight((BOTH,)) == 1
-    assert d_transform((1, 1), (BOTH,)) == (1, 1)
-    # r undoes d after adding one to every part
-    assert r_transform((2, 2), (BOTH,)) == (1, 1)
     assert r_transform((1, 1), (RIGHT,)) == (0, 1)
     assert word_tilde((RIGHT,)) == (0,)
     assert r_transform((1, 1), (UP,)) == (1, 0)
+
+
+def test_word_transforms_bundle():
+    k, w = (1, 1), (BOTH,)
+    d, r = d_transform(k, w), r_transform(k, w)
+    assert r == (0, 0) and word_tilde(w) == (1,) and word_weight(w) == 1
+    # r undoes d after adding one to every part
+    assert d == (1, 1)
+    assert r_transform(tuple(x + 1 for x in d), w) == (1, 1)
 
 
 def test_interleave():
