@@ -1,4 +1,5 @@
-"""Subset-filter kernel backing the brute-force face oracle.
+"""Subset-filter kernel backing the brute-force face oracle and the batch
+face recognizer of the polytope face map.
 
 Scanning all 2^|E| edge subsets of a diagram is the one hot numeric loop in
 the package (about four million subsets for the largest diagrams the CLI
@@ -12,6 +13,10 @@ same for every subset of a batch, so it is a per-batch flag: absent, it
 skips its propagation step; present, it makes the step a plain OR; and a
 terminal whose in-edges are all absent flags rejects the whole batch
 without array work.
+
+``recognize_faces`` runs the same batch step on given masks instead: lane
+``l`` of word ``j`` of edge ``e``'s pattern is bit ``e`` of mask
+``64 j + l``, every edge varies, and one pass decides every mask.
 
 Everything else in the package is exact rational or big-integer arithmetic
 and stays in plain Python.
@@ -75,6 +80,41 @@ def accepted_face_masks(diagram):
     if not chunks:
         return np.empty(0, np.int64)
     return np.concatenate(chunks)
+
+
+def recognize_faces(diagram, masks):
+    """Whether each edge mask is a face of the diagram (bool array), by the
+    rules of ``ladder.is_face``; like it, raises ``ValueError`` on bits
+    outside the diagram."""
+    masks = np.asarray(masks, dtype=np.int64)
+    if (masks & ~diagram.full_mask).any():
+        raise ValueError("edge subset uses bits outside the diagram")
+    n_edges, count = diagram.num_edges, len(masks)
+    if n_edges == 0 or count == 0:
+        # The degenerate diagram's one face is the empty edge set.
+        return np.ones(count, dtype=bool)
+    n_words = -(-count // 64)
+    lanes = np.zeros(64 * n_words, np.int64)
+    lanes[:count] = masks
+    bits = lanes >> np.arange(n_edges, dtype=np.int64)[:, None] & 1
+    has = (
+        np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+        .view("<u8")
+        .astype(np.uint64)
+    )
+    has, lacks = list(has), list(~has)
+    keep = np.empty(n_words, np.uint64)
+    n_vertices = len(diagram.vertices)
+    rows = (
+        np.empty((n_vertices, n_words), np.uint64),
+        np.empty((n_vertices, n_words), np.uint64),
+        keep,
+        np.empty(n_words, np.uint64),
+    )
+    _batch(diagram, has, lacks, rows, [None] * n_edges, _ONES)
+    # The lanes past the last mask hold mask 0; their flags are cut off.
+    accepted = np.unpackbits(keep.astype("<u8").view(np.uint8), bitorder="little")
+    return accepted[:count].astype(bool)
 
 
 def _batch(d, has, lacks, rows, flags, first):

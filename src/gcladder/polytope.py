@@ -12,8 +12,9 @@ constraint with the vertical edge into (i,j).
 The face-lattice oracle works purely on the inequality system - vertices
 by double description, then faces as intersections of the constraints'
 vertex sets - and never touches the diagram machinery, so its agreement
-with the edge-wise face maps is evidence, not tautology.  All arithmetic is
-exact (Python ints and ``fractions.Fraction``); there are no tolerances.
+with the edge-wise face maps is evidence, not tautology.  The bit-sliced
+kernel decides the map's images, given as lane patterns.  All arithmetic
+is exact (Python ints and ``fractions.Fraction``); there are no tolerances.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import gcd, lcm
+from operator import and_
 
 import numpy as np
 
@@ -33,8 +36,8 @@ from .ladder import (
     build_diagram,
     enumerate_faces,
     face_dimension,
-    is_face,
 )
+from .kernels import recognize_faces
 from .records import hex_mask
 
 # Largest n whose vertices the oracle computes; the tests check its face
@@ -139,6 +142,8 @@ class GCSystem:
 
     ``rows`` holds each constraint as the integer row (a, b) of the
     homogenised inequality a.x + b.t >= 0, scaled to clear denominators.
+    Each is +-(e_a - e_b) or +-e_a plus a constant; ``ends`` holds its (a, b),
+    with b = d for the constant.
     """
 
     __slots__ = (
@@ -149,6 +154,7 @@ class GCSystem:
         "d",
         "constraints",
         "rows",
+        "ends",
         "_vertices",
         "_vertex_sets",
         "_faces",
@@ -193,6 +199,10 @@ class GCSystem:
                     Constraint(kind, i, j, tuple(coeffs), const, edge)
                 )
         self.constraints = tuple(cons)
+        # A row has one or two nonzero coefficients; d pads the single ones.
+        self.ends = tuple(
+            (*(t for t, q in enumerate(c.coeffs) if q), self.d)[:2] for c in cons
+        )
         self.rows = tuple(_integer_row(c.coeffs, c.const) for c in cons)
         self._vertices = None
         self._vertex_sets = None
@@ -241,20 +251,6 @@ def _project(vector, scale, weight, pivot):
     out = [scale * a - weight * b for a, b in zip(vector, pivot)]
     g = gcd(*out)
     return tuple(a // g for a in out) if g > 1 else tuple(out)
-
-
-def _rank(rows):
-    """Rank of integer rows, by fraction-free elimination."""
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        col = next(c for c, a in enumerate(pivot) if a)
-        rows = [
-            r for r in (_project(r, pivot[col], r[col], pivot) for r in rows) if any(r)
-        ]
-        rank += 1
-    return rank
 
 
 def _extreme_rays(rows, dim):
@@ -370,6 +366,14 @@ class PolytopeFace:
         return f"PolytopeFace(dim={self.dim}, vertices={bin(self.vertex_mask).count('1')})"
 
 
+def _byte_rows(masks):
+    """The masks as rows of little-endian bytes: a uint8 array with one row
+    per mask."""
+    size = (max(masks, default=0).bit_length() + 7) // 8
+    data = b"".join(mask.to_bytes(size, "little") for mask in masks)
+    return np.frombuffer(data, np.uint8).reshape(len(masks), size)
+
+
 def face_lattice(sys):
     """Every face of the polytope (including the empty face and the
     polytope itself), sorted by vertex mask.
@@ -379,7 +383,9 @@ def face_lattice(sys):
     for the constraints tight on all of it, and an intersection of faces is
     a face.  So the vertex sets are all ANDs of constraints' vertex sets.
     The constraints tight on all vertices of a nonempty face cut out its
-    affine hull, so its dimension is d minus the rank of their rows.
+    affine hull, so its dimension is d minus the rank of their rows: the
+    components, less one, of the graph on the coordinates and a ground
+    node d with an edge between the ``ends`` of each tight constraint.
     """
     if sys._faces is not None:
         return sys._faces
@@ -387,11 +393,32 @@ def face_lattice(sys):
     found = {(1 << len(verts)) - 1, 0}
     for vs in sys._vertex_sets:
         found |= {f & vs for f in found}
-    faces = []
-    for vm in sorted(found):
-        tight = sum(1 << c for c, vs in enumerate(sys._vertex_sets) if vm & vs == vm)
-        dim = sys.d - _rank([sys.rows[c][:-1] for c in _bits(tight)]) if vm else -1
-        faces.append(PolytopeFace(sys, vm, tight, dim))
+    masks = sorted(found)
+    # A nonempty face's tight set is the AND of its vertices' tight sets.
+    held = _holders(sys._vertex_sets)
+    vertex_tight = np.array([held.get(v, 0) for v in range(len(verts))], np.int64)
+    incidence = np.unpackbits(_byte_rows(masks[1:]), axis=1, bitorder="little")
+    sizes = incidence.sum(axis=1, dtype=np.int64)
+    tight = np.empty(len(masks), np.int64)
+    tight[0] = (1 << sys.num_constraints) - 1  # the empty face
+    tight[1:] = np.bitwise_and.reduceat(
+        vertex_tight[incidence.nonzero()[1]], sizes.cumsum() - sizes
+    )
+    # Union-find on all faces at once: each node is labelled by the smallest
+    # node of its component, so a component has one node that is its label.
+    labels = np.empty((len(masks), sys.d + 1), np.int64)
+    labels[:] = np.arange(sys.d + 1)
+    joins = tight[:, None] >> np.arange(sys.num_constraints) & 1 == 1
+    for c, (a, b) in enumerate(sys.ends):
+        low = np.minimum(labels[:, a], labels[:, b])[:, None]
+        high = np.maximum(labels[:, a], labels[:, b])[:, None]
+        np.copyto(labels, low, where=joins[:, c, None] & (labels == high))
+    dims = (labels == np.arange(sys.d + 1)).sum(axis=1) - 1
+    dims[0] = -1  # the empty face
+    faces = [
+        PolytopeFace(sys, vm, t, dim)
+        for vm, t, dim in zip(masks, tight.tolist(), dims.tolist())
+    ]
     sys._faces = tuple(faces)
     sys._face_of = {f.vertex_mask: f for f in faces}
     return sys._faces
@@ -453,15 +480,15 @@ def _images(sys, tight_masks):
 
 
 def _face_images(sys, tight_masks):
-    # The images of nonempty faces, each checked once by the recognizer.
+    # The images of nonempty faces, all decided by one recognizer call.
     images = _images(sys, tight_masks)
     diagram = build_diagram(sys.spectrum.composition)
-    for mask in images.tolist():
-        if not is_face(diagram, mask):
-            raise AssertionError(
-                f"polytope face mapped to a non-face edge set "
-                f"0x{hex_mask(diagram, mask)}"
-            )
+    rejected = np.flatnonzero(~recognize_faces(diagram, images))
+    if rejected.size:
+        raise AssertionError(
+            f"polytope face mapped to a non-face edge set "
+            f"0x{hex_mask(diagram, int(images[rejected[0]]))}"
+        )
     return images
 
 
@@ -505,8 +532,8 @@ def phi(sys, face):
     maps to BOTTOM.
 
     Given a sequence of nonempty faces instead, returns their edge masks as
-    one int64 array.  Either way each image gets one recognizer call, and a
-    non-face image raises ``AssertionError``.
+    one int64 array.  Either way one recognizer call decides every image,
+    and a non-face image raises ``AssertionError``.
     """
     if not isinstance(face, PolytopeFace):
         return _face_images(sys, [f.tight_mask for f in face])
@@ -627,22 +654,43 @@ class IsoReport:
         )
 
 
+def _up_sets(masks):
+    """The up-set of each mask in turn: the bitset of the indices of the
+    masks that contain all of it.  That is one AND per nonzero byte b at
+    byte k of the mask, of table entry 256 k + b: the AND of the holders
+    of the bits of b there, made the first time it is needed."""
+    everything = (1 << len(masks)) - 1
+    rows = _byte_rows(masks)
+    planes = np.packbits(
+        np.unpackbits(rows, axis=1, bitorder="little"), axis=0, bitorder="little"
+    )
+    holders = [int.from_bytes(plane.tobytes(), "little") for plane in planes.T]
+    mask_at, byte_at = rows.nonzero()
+    keys = (byte_at * 256 + rows[mask_at, byte_at]).tolist()
+    table = {}
+    start = 0
+    for end in mask_at.searchsorted(np.arange(1, len(masks) + 1)).tolist():
+        up = everything
+        for key in keys[start:end]:
+            if key not in table:
+                bits = (holders[key >> 8 << 3 | i] for i in _bits(key & 255))
+                table[key] = reduce(and_, bits, everything)
+            up &= table[key]
+        yield up
+        start = end
+
+
 def inclusion_mismatch(left, right):
     """First pair (a, b), in row-major order, on which the two families of
     nonempty masks disagree about left[a] <= left[b] versus right[a] <=
     right[b] as sets; None if they are ordered alike.
 
-    The up-set of a (all b with masks[a] <= masks[b]) is the AND, over the
-    bits of masks[a], of the bitsets of the masks holding that bit.  The
-    relations agree on all pairs iff the up-sets agree for every a; the
-    lowest bit of the first difference is the all-pairs scan's first hit.
+    The relations agree on all pairs iff the up-sets (all b with masks[a]
+    <= masks[b]) agree for every a; the lowest bit of the first difference
+    is the all-pairs scan's first hit.
     """
-    everything = (1 << len(left)) - 1
-    held_left, held_right = _holders(left), _holders(right)
-    for a, (mask_left, mask_right) in enumerate(zip(left, right)):
-        differ = _containing(held_left, mask_left, everything) ^ _containing(
-            held_right, mask_right, everything
-        )
+    for a, (up_left, up_right) in enumerate(zip(_up_sets(left), _up_sets(right))):
+        differ = up_left ^ up_right
         if differ:
             return a, (differ & -differ).bit_length() - 1
     return None
@@ -654,11 +702,11 @@ def verify_isomorphism(spectrum):
     faces, with two-sided round trips.
 
     All faces are mapped at once, by one ``phi`` call on every nonempty
-    face and one ``psi`` call each way of the round trip, with one
-    recognizer call per image; dimensions come from the enumerator's table
-    and the preimages are ANDs of vertex sets.  A failing check names
-    its first offender: a polytope face by its index among the nonempty
-    faces, an edge set by its hexadecimal mask.
+    face and one ``psi`` call each way of the round trip, and one
+    recognizer call decides every image; dimensions come from the
+    enumerator's table and the preimages are ANDs of vertex sets.  A
+    failing check names its first offender: a polytope face by its index
+    among the nonempty faces, an edge set by its hexadecimal mask.
     """
     if not isinstance(spectrum, Spectrum):
         spectrum = Spectrum(spectrum)

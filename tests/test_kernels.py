@@ -1,8 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
 from gcladder import kernels
-from gcladder.ladder import build_diagram, compositions_with_edge_bound, is_face
+from gcladder.ladder import (
+    build_diagram,
+    compositions_with_edge_bound,
+    enumerate_faces,
+    is_face,
+)
 
 # The four original cases keep the first ids; (3, 1) has 14 edges, so its
 # default batch holds word-index edges 12-13.  The rest are every diagram of
@@ -37,3 +44,33 @@ def test_backend_matches_scalar_recognizer(comp):
 def test_scan_matches_scalar_recognizer_in_small_batches(monkeypatch, comp, batch):
     monkeypatch.setattr(kernels, "_BATCH", batch)
     _check_scan(build_diagram(comp))
+
+
+# Given masks ride the batch step as lane patterns: every face and 2,000
+# seeded random subsets, in one call that spans several words and ends in a
+# partial one.
+@pytest.mark.parametrize("comp", [()] + compositions_with_edge_bound(30))
+def test_recognize_faces_matches_is_face(comp):
+    d = build_diagram(comp)
+    rng = random.Random(13)
+    masks = enumerate_faces(d).masks.tolist()
+    masks += [rng.getrandbits(d.num_edges) for _ in range(2000)]
+    flags = kernels.recognize_faces(d, np.array(masks, dtype=np.int64))
+    assert flags.dtype == bool
+    assert flags.tolist() == [is_face(d, m) for m in masks]
+
+
+def test_recognize_faces_edge_cases():
+    # The diagram of () has no edges; its one face is the empty edge set.
+    assert build_diagram(()).num_edges == 0
+    assert kernels.recognize_faces(build_diagram(()), [0]).tolist() == [True]
+    d = build_diagram((1,))
+    flags = kernels.recognize_faces(d, [0, 1, 2, 3])
+    assert flags.tolist() == [False, False, False, True]
+    empty = kernels.recognize_faces(d, np.empty(0, np.int64))
+    assert empty.shape == (0,) and empty.dtype == bool
+    for diagram, mask in [(d, 4), (d, -1), (build_diagram(()), 1)]:
+        with pytest.raises(ValueError, match="bits outside the diagram"):
+            is_face(diagram, mask)
+        with pytest.raises(ValueError, match="bits outside the diagram"):
+            kernels.recognize_faces(diagram, [3 & diagram.full_mask, mask])

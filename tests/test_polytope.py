@@ -8,6 +8,7 @@ import pytest
 
 from gcladder import ladder, polytope
 from gcladder.genfunc import f_vector
+from gcladder.kernels import recognize_faces
 from gcladder.ladder import (
     BOTTOM,
     DiagramFace,
@@ -22,6 +23,7 @@ from gcladder.polytope import (
     IsoReport,
     PolytopeFace,
     Spectrum,
+    _project,
     build_system,
     canonical_spectrum,
     face_counts_by_dim,
@@ -50,7 +52,8 @@ def compositions_up_to(n):
 
 
 # References: the square-subsystem vertex scan, the Fraction elimination
-# for affine rank and the all-pairs inclusion scan that the oracle replaced.
+# for affine rank, the fraction-free rank of tight rows and the all-pairs
+# inclusion scan that the oracle replaced.
 
 
 def reduce_rows(rows):
@@ -89,6 +92,20 @@ def subsystem_scan_vertices(sys):
 def affine_rank(points):
     base = points[0]
     return len(reduce_rows([[a - b for a, b in zip(p, base)] for p in points[1:]])[1])
+
+
+def reference_rank(rows):
+    """Rank of integer rows, by fraction-free elimination."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(c for c, a in enumerate(pivot) if a)
+        rows = [
+            r for r in (_project(r, pivot[col], r[col], pivot) for r in rows) if any(r)
+        ]
+        rank += 1
+    return rank
 
 
 def all_pairs_mismatch(left, right):
@@ -297,6 +314,16 @@ class TestLattice:
                 if not face.is_empty:
                     assert face.dim == affine_rank(face.vertices()), (comp, face)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dimension_is_d_minus_tight_rank(self, n):
+        for comp in compositions_of(n):
+            sys = build_system(canonical_spectrum(comp))
+            faces = face_lattice(sys)
+            assert faces[0].is_empty and faces[0].dim == -1
+            for face in faces[1:]:
+                rows = [sys.rows[c][:-1] for c in ladder._bits(face.tight_mask)]
+                assert face.dim == sys.d - reference_rank(rows), (comp, face)
+
     def test_210_counts(self):
         sys = build_system(Spectrum((2, 1, 0)))
         counts = face_counts_by_dim(face_lattice(sys))
@@ -485,7 +512,9 @@ class TestIsomorphism:
 
     def test_order_check_matches_all_pairs_scan(self):
         rng = random.Random(7)
-        for comp in compositions_up_to(4):
+        # At n = 5 the edge masks pass 16 bits: (2, 3) has 22 edges and
+        # (1, 3, 1) has 24.
+        for comp in compositions_up_to(4) + [(2, 3), (1, 3, 1)]:
             sys = build_system(canonical_spectrum(comp))
             pfaces = [f for f in face_lattice(sys) if not f.is_empty]
             left = [f.vertex_mask for f in pfaces]
@@ -524,17 +553,16 @@ class TestIsomorphism:
         assert report.passed and report == reference_verify_isomorphism(spectrum)
 
     def test_one_recognizer_call_per_face(self, monkeypatch):
-        calls = []
+        decided = []
 
-        def counted(diagram, mask):
-            calls.append(mask)
-            return is_face(diagram, mask)
+        def counted(diagram, masks):
+            decided.extend(np.asarray(masks).tolist())
+            return recognize_faces(diagram, masks)
 
-        monkeypatch.setattr(polytope, "is_face", counted)
-        monkeypatch.setattr(ladder, "is_face", counted)
+        monkeypatch.setattr(polytope, "recognize_faces", counted)
         report = verify_isomorphism(canonical_spectrum((1, 1, 1, 1)))
         assert report.passed and report.face_count == 567
-        assert len(calls) <= 567
+        assert len(decided) == 567
 
 
 # No vacuous PASS: each check fails on a program broken in the way it guards
@@ -587,7 +615,9 @@ class TestMutations:
     def test_swapped_edges_fail_the_bijection(self, monkeypatch):
         # Swapping two constraints' edges relabels two edge bits, which keeps
         # every inclusion, so the order check cannot see it; the recognizer
-        # rejects the first image that is no face, and without it the
+        # rejects the first image that is no face.  With a recognizer that
+        # accepts everything (the batch one of phi and the scalar one that
+        # face_dimension calls on an image the enumerator lacks) the
         # bijection check finds that image missing from the diagram faces.
         def edit(bits):
             bits[0], bits[1] = bits[1], bits[0]
@@ -598,7 +628,10 @@ class TestMutations:
         sys = build_system(Spectrum((2, 1, 0)))
         with pytest.raises(AssertionError, match="non-face edge set 0x5fd"):
             phi(sys, face_lattice(sys)[2])  # face #1; #0 of the lattice is empty
-        monkeypatch.setattr(polytope, "is_face", lambda diagram, mask: True)
+        def accept_all(diagram, masks):
+            return np.ones(len(masks), dtype=bool)
+
+        monkeypatch.setattr(polytope, "recognize_faces", accept_all)
         monkeypatch.setattr(ladder, "is_face", lambda diagram, mask: True)
         report = _failing_report(Spectrum((2, 1, 0)))
         assert not report.bijection_ok and report.order_ok
