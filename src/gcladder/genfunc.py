@@ -88,9 +88,6 @@ class TPoly:
             self.coefficient(i) - other.coefficient(i) for i in range(size)
         )
 
-    def __neg__(self):
-        return TPoly(-c for c in self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, TPoly):
             if self.is_zero or other.is_zero:
@@ -101,9 +98,6 @@ class TPoly:
                     out[i + j] += a * b
             return TPoly(out)
         return TPoly(c * other for c in self.coeffs)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def shift(self, j):
         """Multiply by t^j."""

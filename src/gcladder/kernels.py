@@ -61,15 +61,11 @@ def accepted_face_masks(diagram):
         for e in range(low)
     ]
     lacks = [~h for h in has]
-    # Word rows reused by every batch: reachability per vertex, the keep
-    # mask and one scratch row.  Rows allocated per batch made a standalone
-    # 22-edge scan up to twice as slow, as the allocator handed the freed
-    # rows back to the system between batches.
-    n_vertices = len(diagram.vertices)
-    fwd = np.empty((n_vertices, n_words), np.uint64)
-    bwd = np.empty((n_vertices, n_words), np.uint64)
-    keep = np.empty(n_words, np.uint64)
-    rows = (fwd, bwd, keep, np.empty(n_words, np.uint64))
+    # One set of word rows for every batch.  Rows allocated per batch made a
+    # standalone 22-edge scan up to twice as slow, as the allocator handed
+    # the freed rows back to the system between batches.
+    rows = _word_rows(diagram, n_words)
+    keep = rows[2]
     chunks = []
     for b in range(total >> low):
         # flags[e]: None for an edge that varies inside the batch, else
@@ -103,18 +99,24 @@ def recognize_faces(diagram, masks):
         .astype(np.uint64)
     )
     has, lacks = list(has), list(~has)
-    keep = np.empty(n_words, np.uint64)
-    n_vertices = len(diagram.vertices)
-    rows = (
-        np.empty((n_vertices, n_words), np.uint64),
-        np.empty((n_vertices, n_words), np.uint64),
-        keep,
-        np.empty(n_words, np.uint64),
-    )
+    rows = _word_rows(diagram, n_words)
+    keep = rows[2]
     _batch(diagram, has, lacks, rows, [None] * n_edges, _ONES)
     # The lanes past the last mask hold mask 0; their flags are cut off.
     accepted = np.unpackbits(keep.astype("<u8").view(np.uint8), bitorder="little")
     return accepted[:count].astype(bool)
+
+
+def _word_rows(diagram, n_words):
+    """Empty word rows for ``_batch``: forward and backward reachability per
+    vertex, the keep mask and one scratch row."""
+    n_vertices = len(diagram.vertices)
+    return (
+        np.empty((n_vertices, n_words), np.uint64),
+        np.empty((n_vertices, n_words), np.uint64),
+        np.empty(n_words, np.uint64),
+        np.empty(n_words, np.uint64),
+    )
 
 
 def _batch(d, has, lacks, rows, flags, first):

@@ -56,7 +56,6 @@ class LadderDiagram:
         "composition",
         "n",
         "s",
-        "partial_sums",
         "terminals",
         "vertices",
         "vertex_index",
@@ -84,7 +83,6 @@ class LadderDiagram:
         sums = [0]
         for p in comp:
             sums.append(sums[-1] + p)
-        self.partial_sums = tuple(sums)
         n = self.n
         # v_0 = (0, n) down to v_s = (n, 0); the degenerate diagram keeps the
         # origin as its single (terminal) vertex.
@@ -202,10 +200,6 @@ class DiagramFace:
 
     def is_full(self):
         return self.mask == self.diagram.full_mask
-
-    def contains(self, other):
-        _require_same_diagram(self, other)
-        return self.mask | other.mask == self.mask
 
     def __eq__(self, other):
         if not isinstance(other, DiagramFace):

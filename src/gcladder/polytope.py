@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import and_
 
 import numpy as np
@@ -111,27 +111,22 @@ def canonical_spectrum(k):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One affine inequality sum(coeffs * x) + const >= 0, tagged with its
-    pattern position and the grid edge it gates."""
+    """One interlacing inequality x_a - x_b >= 0, tagged with its pattern
+    position and the grid edge it gates.  Coordinate d (one past the free
+    entries) is the fixed top-row entry, of value ``const``; an inequality
+    between two free entries has ``const`` 0."""
 
     kind: str  # "up": x_{i,j+1} >= x_{i,j};  "down": x_{i,j} >= x_{i+1,j}
     i: int
     j: int
-    coeffs: tuple
+    a: int
+    b: int
     const: Fraction
     edge: tuple
 
     def value_at(self, point):
-        acc = self.const
-        for c, x in zip(self.coeffs, point):
-            if c:
-                acc += c * x
-        return acc
-
-
-def _integer_row(coeffs, const):
-    scale = lcm(*(q.denominator for q in coeffs), const.denominator)
-    return tuple(int(q * scale) for q in (*coeffs, const))
+        x = (*point, self.const)
+        return x[self.a] - x[self.b]
 
 
 class GCSystem:
@@ -140,26 +135,24 @@ class GCSystem:
     then all DOWN constraints likewise (matching the diagram's
     horizontals-then-verticals edge order).
 
-    ``rows`` holds each constraint as the integer row (a, b) of the
-    homogenised inequality a.x + b.t >= 0, scaled to clear denominators.
-    Each is +-(e_a - e_b) or +-e_a plus a constant; ``ends`` holds its (a, b),
-    with b = d for the constant.
+    ``rows`` holds each constraint as the integer row of the homogenised
+    inequality r.(x, t) >= 0, read off its coordinate pair: +1 at a and -1
+    at b, with t in place of the top-row entry, whose row is scaled by the
+    denominator of its value.
     """
 
     __slots__ = (
         "spectrum",
         "n",
         "index_set",
-        "var_index",
         "d",
         "constraints",
         "rows",
-        "ends",
         "_vertices",
         "_vertex_sets",
         "_faces",
         "_face_of",
-        "_edge_table",
+        "_edge_bits",
         "_vertex_tables",
     )
 
@@ -173,42 +166,34 @@ class GCSystem:
             (i, j) for i in range(1, n) for j in range(1, n) if i + j <= n
         )
         self.index_set = tuple(index_set)
-        self.var_index = {p: t for t, p in enumerate(index_set)}
-        self.d = len(index_set)
+        self.d = d = len(index_set)
+        # The top-row entry x_{i,n+1-i} is lambda_i, at coordinate d.
+        at = {p: t for t, p in enumerate(index_set)}
+        at.update(((i, n + 1 - i), d) for i in range(1, n + 1))
         lam = spectrum.values
         cons = []
-        for kind in ("up", "down"):
-            for (i, j) in index_set:
-                coeffs = [Fraction(0)] * self.d
-                const = Fraction(0)
-                if kind == "up":
-                    coeffs[self.var_index[(i, j)]] -= 1
-                    if (i, j + 1) in self.var_index:
-                        coeffs[self.var_index[(i, j + 1)]] += 1
-                    else:
-                        const = lam[i - 1]
-                    edge = ((i - 1, j), (i, j))
-                else:
-                    coeffs[self.var_index[(i, j)]] += 1
-                    if (i + 1, j) in self.var_index:
-                        coeffs[self.var_index[(i + 1, j)]] -= 1
-                    else:
-                        const = -lam[i]
-                    edge = ((i, j - 1), (i, j))
-                cons.append(
-                    Constraint(kind, i, j, tuple(coeffs), const, edge)
-                )
+        for (i, j) in index_set:
+            const = lam[i - 1] if i + j == n else Fraction(0)
+            edge = ((i - 1, j), (i, j))
+            cons.append(Constraint("up", i, j, at[i, j + 1], at[i, j], const, edge))
+        for (i, j) in index_set:
+            const = lam[i] if i + j == n else Fraction(0)
+            edge = ((i, j - 1), (i, j))
+            cons.append(Constraint("down", i, j, at[i, j], at[i + 1, j], const, edge))
         self.constraints = tuple(cons)
-        # A row has one or two nonzero coefficients; d pads the single ones.
-        self.ends = tuple(
-            (*(t for t, q in enumerate(c.coeffs) if q), self.d)[:2] for c in cons
-        )
-        self.rows = tuple(_integer_row(c.coeffs, c.const) for c in cons)
+        # x_a - x_b >= 0 times q, where const = p/q; homogenised, x_d = const * t.
+        rows = []
+        for c in cons:
+            row = [0] * (d + 1)
+            row[c.a], row[c.b] = 1, -1
+            q, p = c.const.denominator, c.const.numerator
+            rows.append(tuple(r * q for r in row[:d]) + (row[d] * p,))
+        self.rows = tuple(rows)
         self._vertices = None
         self._vertex_sets = None
         self._faces = None
         self._face_of = None
-        self._edge_table = None
+        self._edge_bits = None
         self._vertex_tables = None
 
     @property
@@ -385,7 +370,7 @@ def face_lattice(sys):
     The constraints tight on all vertices of a nonempty face cut out its
     affine hull, so its dimension is d minus the rank of their rows: the
     components, less one, of the graph on the coordinates and a ground
-    node d with an edge between the ``ends`` of each tight constraint.
+    node d with an edge between the coordinates a, b of each tight constraint.
     """
     if sys._faces is not None:
         return sys._faces
@@ -409,9 +394,9 @@ def face_lattice(sys):
     labels = np.empty((len(masks), sys.d + 1), np.int64)
     labels[:] = np.arange(sys.d + 1)
     joins = tight[:, None] >> np.arange(sys.num_constraints) & 1 == 1
-    for c, (a, b) in enumerate(sys.ends):
-        low = np.minimum(labels[:, a], labels[:, b])[:, None]
-        high = np.maximum(labels[:, a], labels[:, b])[:, None]
+    for c, con in enumerate(sys.constraints):
+        low = np.minimum(labels[:, con.a], labels[:, con.b])[:, None]
+        high = np.maximum(labels[:, con.a], labels[:, con.b])[:, None]
         np.copyto(labels, low, where=joins[:, c, None] & (labels == high))
     dims = (labels == np.arange(sys.d + 1)).sum(axis=1) - 1
     dims[0] = -1  # the empty face
@@ -429,54 +414,36 @@ def face_counts_by_dim(faces):
     return dict(sorted(Counter(f.dim for f in faces if not f.is_empty).items()))
 
 
-class EdgeTable:
-    """The edge paired with each constraint of a system, as diagram bits.
-
-    ``bits[c]`` is the edge bit of constraint ``c``, or 0 when the diagram
-    lacks that edge; ``outside`` is the mask of those constraints.
-    """
-
-    __slots__ = ("bits", "outside", "axes_mask")
-
-    def __init__(self, bits, axes_mask):
-        self.bits = tuple(bits)
-        self.outside = sum(1 << c for c, bit in enumerate(self.bits) if not bit)
-        self.axes_mask = axes_mask
-
-    def images(self, tight_masks):
-        """Edge masks of the faces with these tight masks: ``axes_mask`` OR
-        the bits of the constraints not tight on each (int64 array)."""
-        tight_masks = np.asarray(tight_masks, dtype=np.int64)
-        out = np.full(tight_masks.shape, self.axes_mask, dtype=np.int64)
-        for c, bit in enumerate(self.bits):
-            out |= np.where(tight_masks >> c & 1, 0, bit)
-        return out
-
-
-def edge_table(sys):
-    """The system's ``EdgeTable``, built once; ``phi``, ``psi`` and
-    ``verify_isomorphism`` all read it."""
-    if sys._edge_table is None:
+def edge_bits(sys):
+    """The edge bit paired with each constraint, or 0 when the diagram lacks
+    that edge; built once.  ``phi``, ``psi`` and ``verify_isomorphism`` all
+    read it."""
+    if sys._edge_bits is None:
         diagram = build_diagram(sys.spectrum.composition)
-        sys._edge_table = EdgeTable(
-            (diagram.edge_bit(*con.edge) for con in sys.constraints), diagram.axes_mask
-        )
-    return sys._edge_table
+        sys._edge_bits = tuple(diagram.edge_bit(*con.edge) for con in sys.constraints)
+    return sys._edge_bits
 
 
 def _images(sys, tight_masks):
-    # An image needs an edge for every constraint not tight on the face.
-    table = edge_table(sys)
+    """Edge masks of the faces with these tight masks: the boundary axes OR
+    the bits of the constraints not tight on each (int64 array)."""
+    bits = edge_bits(sys)
     tight_masks = np.asarray(tight_masks, dtype=np.int64)
-    stray = np.flatnonzero(~tight_masks & table.outside)
+    # An image needs an edge for every constraint not tight on the face.
+    outside = sum(1 << c for c, bit in enumerate(bits) if not bit)
+    stray = np.flatnonzero(~tight_masks & outside)
     if stray.size:
-        missing = ~int(tight_masks[stray[0]]) & table.outside
+        missing = ~int(tight_masks[stray[0]]) & outside
         con = sys.constraints[(missing & -missing).bit_length() - 1]
         raise AssertionError(
             f"non-tight constraint {con.kind}{(con.i, con.j)} pairs with an "
             f"edge outside the diagram"
         )
-    return table.images(tight_masks)
+    axes = build_diagram(sys.spectrum.composition).axes_mask
+    out = np.full(tight_masks.shape, axes, dtype=np.int64)
+    for c, bit in enumerate(bits):
+        out |= np.where(tight_masks >> c & 1, 0, bit)
+    return out
 
 
 def _face_images(sys, tight_masks):
@@ -513,7 +480,7 @@ def _preimages(sys, masks):
     vertex sets of the constraints whose edge bit the mask lacks."""
     masks = np.asarray(masks, dtype=np.int64)
     absent = np.zeros(masks.shape, dtype=np.int64)
-    for c, bit in enumerate(edge_table(sys).bits):
+    for c, bit in enumerate(edge_bits(sys)):
         absent |= (masks & bit == 0).astype(np.int64) << c
     tables = _vertex_set_tables(sys)
     everything = (1 << len(sys._vertices)) - 1

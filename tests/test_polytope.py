@@ -47,11 +47,22 @@ def halved_spectrum(comp):
     return Spectrum(values)
 
 
+def sixths_spectrum(comp):
+    """Third spectrum per composition: block values over 6, whose reduced
+    denominators mix 1, 2, 3 and 6."""
+    values = []
+    s = len(comp)
+    for i, part in enumerate(comp, start=1):
+        values.extend([Fraction(5 * (s - i) + 1, 6)] * part)
+    return Spectrum(values)
+
+
 def compositions_up_to(n):
     return [comp for m in range(1, n + 1) for comp in compositions_of(m)]
 
 
-# References: the square-subsystem vertex scan, the Fraction elimination
+# References: the dense Fraction row of each constraint, the
+# square-subsystem vertex scan, the Fraction elimination
 # for affine rank, the fraction-free rank of tight rows and the all-pairs
 # inclusion scan that the oracle replaced.
 
@@ -75,16 +86,44 @@ def reduce_rows(rows):
     return rows, pivots
 
 
+def dense_row(sys, con):
+    """The constraint as (coeffs, const) with coeffs.x + const >= 0, built
+    from its kind, its position (i, j) and the spectrum alone."""
+    at = {p: t for t, p in enumerate(sys.index_set)}
+    lam = sys.spectrum.values
+    i, j = con.i, con.j
+    coeffs = [Fraction(0)] * sys.d
+    const = Fraction(0)
+    if con.kind == "up":  # x_{i,j+1} - x_{i,j} >= 0
+        coeffs[at[i, j]] -= 1
+        if (i, j + 1) in at:
+            coeffs[at[i, j + 1]] += 1
+        else:
+            const = lam[i - 1]
+    else:  # x_{i,j} - x_{i+1,j} >= 0
+        coeffs[at[i, j]] += 1
+        if (i + 1, j) in at:
+            coeffs[at[i + 1, j]] -= 1
+        else:
+            const = -lam[i]
+    return tuple(coeffs), const
+
+
+def dense_value(row, point):
+    coeffs, const = row
+    return const + sum(c * x for c, x in zip(coeffs, point) if c)
+
+
 def subsystem_scan_vertices(sys):
     """Vertices as the feasible solutions of all square tight subsystems."""
-    cons = sys.constraints
+    dense = [dense_row(sys, c) for c in sys.constraints]
     found = set()
-    for subset in combinations(cons, sys.d):
-        rows, pivots = reduce_rows([(*c.coeffs, -c.const) for c in subset])
+    for subset in combinations(dense, sys.d):
+        rows, pivots = reduce_rows([(*coeffs, -const) for coeffs, const in subset])
         if len(pivots) < sys.d:
             continue  # singular
         point = tuple(rows[r][sys.d] for r in range(sys.d))
-        if all(c.value_at(point) >= 0 for c in cons):
+        if all(dense_value(row, point) >= 0 for row in dense):
             found.add(point)
     return tuple(sorted(found))
 
@@ -283,6 +322,22 @@ class TestSystem:
                 call(GCSystem(canonical_spectrum((1,) * 6)))
         with pytest.raises(ValueError, match="capped at n <= 5; got n = 6"):
             verify_isomorphism(canonical_spectrum((1,) * 6))
+
+    @pytest.mark.parametrize(
+        "spectrum_of", [canonical_spectrum, halved_spectrum, sixths_spectrum]
+    )
+    def test_rows_and_values_match_dense_rows(self, spectrum_of):
+        # rows and value_at come from each constraint's coordinate pair;
+        # the reference is the dense row built from (kind, i, j) and lambda
+        for comp in compositions_up_to(5):
+            sys = build_system(spectrum_of(comp))
+            dense = [dense_row(sys, con) for con in sys.constraints]
+            for row, (coeffs, const) in zip(sys.rows, dense):
+                scale = const.denominator  # lambda's, or 1 between free entries
+                assert row == tuple(q * scale for q in (*coeffs, const)), comp
+            for point in polytope_vertices(sys):
+                for con, row in zip(sys.constraints, dense):
+                    assert con.value_at(point) == dense_value(row, point), comp
 
     @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum])
     def test_vertices_match_subsystem_scan(self, spectrum_of):
@@ -578,15 +633,14 @@ def _failing_report(spectrum):
 
 
 def _edited_edge_table(monkeypatch, edit):
-    original = polytope.edge_table
+    original = polytope.edge_bits
 
     def edited(sys):
-        table = original(sys)
-        bits = list(table.bits)
+        bits = list(original(sys))
         edit(bits)
-        return polytope.EdgeTable(bits, table.axes_mask)
+        return tuple(bits)
 
-    monkeypatch.setattr(polytope, "edge_table", edited)
+    monkeypatch.setattr(polytope, "edge_bits", edited)
 
 
 def _edited_lattice(monkeypatch, edit):
