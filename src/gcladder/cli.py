@@ -50,7 +50,7 @@ PDE_S_RANGE = (1, 2, 3)
 # series inputs are compositions with n <= degree, so the degree bound is
 # the fvector bound.  On a 2-core Xeon the slowest accepted check,
 # `verify pde --s 5 --degree 12`, takes about 2 s (the word-action check of
-# `verify all --degree 12` about 0.7 s); s = 6 takes about 5 s at degree
+# `verify all --degree 12` about 0.02 s); s = 6 takes about 5 s at degree
 # 12, and each further unit of degree costs about 2-3x more.
 MAX_PDE_S = 5
 MAX_PDE_DEGREE = MAX_FVECTOR_N

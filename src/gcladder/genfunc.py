@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
+from operator import add, and_, ne, or_, sub
 
 import numpy as np
 
@@ -509,48 +509,67 @@ def verify_vertex_pde(s, degree):
     )
 
 
+def word_action_closed_form(k, e, w):
+    """Closed form for a word operator acting on x^k y^e/(k! e!), after y = 0:
+    the single term t^|w| x^d/d! with d = d_transform(k, w), present when e
+    marks the BOTH positions of w and d is non-negative.
+
+    Returns (present, d, |w|).  ``k`` and ``e`` hold one int per variable,
+    or one integer column per variable, and then ``present`` and ``d`` are
+    columns too.
+    """
+    d = d_transform(k, w)
+    checks = [x >= 0 for x in d] + [a == b for a, b in zip(e, word_tilde(w))]
+    return functools.reduce(and_, checks, True), d, word_weight(w)
+
+
 def expected_word_action(s, k, e, w):
-    """Closed form for a word operator acting on one monomial, after y = 0:
-    t^|w| x^(d)/d! when e marks the BOTH positions and d = d_transform(k, w)
-    is non-negative; zero otherwise."""
-    d = d_transform(tuple(k), w)
-    # every letter contributes exactly one derivative
+    """``word_action_closed_form`` on one monomial, as a series whose
+    validity degree is the monomial's total less one per letter (every
+    letter contributes exactly one derivative)."""
+    present, d, t_pow = word_action_closed_form(tuple(k), tuple(e), w)
     validity = sum(k) + sum(e) - len(w)
-    if tuple(e) == word_tilde(w) and all(x >= 0 for x in d):
-        poly = TPoly.ONE.shift(word_weight(w)) * Fraction(1, _factorial_product(d))
-        return TruncatedSeries(s, validity, {tuple(d): poly})
-    return TruncatedSeries(s, validity, {})
+    terms = {}
+    if present:
+        terms[tuple(d)] = TPoly.ONE.shift(t_pow) * Fraction(1, _factorial_product(d))
+    return TruncatedSeries(s, validity, terms)
 
 
 def check_word_action(s, max_degree):
     """Exhaustively compare word-operator action on monomials of total
-    degree <= max_degree against the closed form.  Returns mismatches.
+    degree <= max_degree against the closed form.  Returns mismatches
+    (w, k, e), word by word, each word's monomials with k lexicographic,
+    then e.
 
     A word operator is one monomial c t^p d^o, so on x^K/K! it gives the
     single term c t^p x^(K-o)/(K-o)! when K >= o and zero otherwise; the
     y = 0 restriction keeps that term only when its y exponents vanish.
+    Each word is checked on all monomials at once: the exponents are one
+    integer column per variable, and ``word_action_closed_form`` takes the
+    columns.  The two sides agree when their validity degrees (total less
+    o, total less |w|) and their presence agree and, where both are
+    present, their exponents, their powers of t and the coefficients c and
+    1 do.  Monomials of total below o are skipped.
     """
-    monomials = [
-        (k, e, interleave(k, e))
-        for k in bounded_exponents(s, max_degree)
-        for e in bounded_exponents(s - 1, max_degree - sum(k))
-    ]
+    rows = np.array(bounded_exponents(2 * s - 1, max_degree), dtype=np.int64)
+    rows = rows.reshape(-1, 2 * s - 1)
+    k, e = tuple(rows[:, :s].T), tuple(rows[:, s:].T)
+    exps = interleave(k, e)
+    total = rows.sum(axis=1)
     bad = []
     for w in all_words(s - 1):
         [((t_pow, orders), c)] = word_operator(s, w).terms.items()
         order = sum(orders)
-        for k, e, exps in monomials:
-            validity = sum(exps) - order
-            if validity < 0:
-                continue
-            out = tuple(map(sub, exps, orders))
-            terms = {}
-            # interleaved layout: x exponents at even positions, y at odd
-            if min(out) >= 0 and not any(out[1::2]):
-                x = out[::2]
-                terms[x] = TPoly.ONE.shift(t_pow) * (c / _factorial_product(x))
-            if TruncatedSeries(s, validity, terms) != expected_word_action(s, k, e, w):
-                bad.append((w, k, e))
+        out = tuple(map(sub, exps, orders))
+        # interleaved layout: x exponents at even positions, y at odd
+        checks = [x >= 0 for x in out] + [y == 0 for y in out[1::2]]
+        kept = functools.reduce(and_, checks)
+        present, d, p = word_action_closed_form(k, e, w)
+        differ = functools.reduce(or_, map(ne, out[::2], d), (t_pow != p) | (c != 1))
+        wrong = (total >= order) & (
+            (order != len(w)) | (kept != present) | (kept & present & differ)
+        )
+        bad.extend((w, tuple(row[:s]), tuple(row[s:])) for row in rows[wrong].tolist())
     return bad
 
 

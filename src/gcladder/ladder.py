@@ -574,14 +574,18 @@ def compositions_of(n):
 
 
 def diagram_edge_count(k):
-    """Edge count of the diagram of k, without building the diagram.
+    """Edge count of the diagram of k, without building the diagram."""
+    return _edge_count(reduce_composition(k))
+
+
+def _edge_count(comp):
+    """Edge count of the diagram of the reduced composition ``comp``.
 
     Column 0 holds n + 1 vertices and each of the p_i columns of block i
     holds n - s_i + 1, where s_i is the partial sum ending with block i.
     The diagram is connected, so its edges are the vertices less one plus
     the cycle rank, which is sum_{i<j} p_i p_j = (n^2 - sum p_i^2) / 2.
     """
-    comp = reduce_composition(k)
     n = sum(comp)
     if n == 0:
         return 0
@@ -602,7 +606,7 @@ def compositions_with_edge_bound(max_edges):
     n = 1
     while 2 * n <= max_edges:
         for comp in compositions_of(n):
-            if diagram_edge_count(comp) <= max_edges:
+            if _edge_count(comp) <= max_edges:
                 out.append(comp)
         n += 1
     return out

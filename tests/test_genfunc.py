@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -447,19 +448,43 @@ class TestPde:
 @pytest.mark.parametrize("s, degree", [(2, 6), (3, 6), (4, 4)], ids=["(2,6)", "(3,6)", "(4,4)"])
 def test_word_action_matches_dense(s, degree, monkeypatch):
     assert check_word_action(s, degree) == dense_word_action(s, degree) == []
+    true = genfunc.word_action_closed_form
 
-    # a closed form one power of t off wherever k_1 = 2
-    def broken(s, k, e, w, true=genfunc.expected_word_action):
-        want = true(s, k, e, w)
-        if k[0] != 2:
-            return want
-        terms = {x: poly.shift(1) for x, poly in want.terms.items()}
-        return TruncatedSeries(want.num_vars, want.validity_degree, terms)
+    # faults in the closed form, each on ints and on columns alike
+    def off_in_t(k, e, w):  # one power of t off wherever k_1 = 2
+        present, d, t_pow = true(k, e, w)
+        return present, d, t_pow + (k[0] == 2)
 
-    monkeypatch.setattr(genfunc, "expected_word_action", broken)
-    bad = check_word_action(s, degree)
-    assert bad and bad == dense_word_action(s, degree)
-    assert all(k[0] == 2 for _, k, _ in bad)
+    def off_in_d(k, e, w):  # d_1 one lower wherever k_1 = 2
+        present, d, t_pow = true(k, e, w)
+        return present, (d[0] - (k[0] == 2), *d[1:]), t_pow
+
+    def dropped(k, e, w):  # the term dropped wherever d_1 = 0, presence only
+        present, d, t_pow = true(k, e, w)
+        return present & (d[0] != 0), d, t_pow
+
+    for broken, blamed in [
+        (off_in_t, lambda w, k: k[0] == 2),
+        (off_in_d, lambda w, k: k[0] == 2),
+        (dropped, lambda w, k: words.d_transform(k, w)[0] == 0),
+    ]:
+        monkeypatch.setattr(genfunc, "word_action_closed_form", broken)
+        bad = check_word_action(s, degree)
+        assert bad and bad == dense_word_action(s, degree)
+        assert all(blamed(w, k) for w, k, _ in bad)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_word_action_closed_form_on_columns(s):
+    # the closed form on integer columns equals it on each monomial
+    rows = bounded_exponents(2 * s - 1, 4)
+    cols = tuple(np.array(rows, dtype=np.int64).reshape(-1, 2 * s - 1).T)
+    for w in all_words(s - 1):
+        present, d, t_pow = genfunc.word_action_closed_form(cols[:s], cols[s:], w)
+        want = [genfunc.word_action_closed_form(row[:s], row[s:], w) for row in rows]
+        assert [p for p, _, _ in want] == present.tolist()
+        assert [x for _, x, _ in want] == list(zip(*(c.tolist() for c in d)))
+        assert {t for _, _, t in want} == {t_pow}
 
 
 def test_transform_round_trip_check():
