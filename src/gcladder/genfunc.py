@@ -185,11 +185,25 @@ def bounded_exponents(num_vars, max_total):
         return []
     if num_vars == 0:
         return [()]
-    return [
-        (first,) + rest
-        for first in range(max_total + 1)
-        for rest in bounded_exponents(num_vars - 1, max_total - first)
-    ]
+    out = []
+    exps = [0] * num_vars
+    total = 0
+    while True:
+        out.append(tuple(exps))
+        if total < max_total:
+            exps[-1] += 1
+            total += 1
+            continue
+        # Lexicographic successor at full total: clear the last nonzero entry
+        # and raise the one before it; (max_total, 0, ..., 0) is the last.
+        j = num_vars - 1
+        while j > 0 and exps[j] == 0:
+            j -= 1
+        if j == 0:
+            return out
+        total -= exps[j] - 1
+        exps[j] = 0
+        exps[j - 1] += 1
 
 
 class TruncatedSeries:

@@ -1,18 +1,23 @@
 """Subset-filter kernel backing the brute-force face oracle and the batch
 face recognizer of the polytope face map.
 
-Scanning all 2^|E| edge subsets of a diagram is the one hot numeric loop in
-the package (about four million subsets for the largest diagrams the CLI
-oracle accepts).  The scan is bit-sliced: lane ``l`` of ``uint64`` word
-``j`` stands for subset ``64 j + l``, so every numpy pass over the forward
-and backward reachability rows (one word array per vertex) and over the
-keep mask decides 64 subsets per element.  Edges 0-5 select the lane
-inside a word and are fixed lane patterns; the next edges up to the batch
-width select the word inside a batch.  An edge above the batch width is the
-same for every subset of a batch, so it is a per-batch flag: absent, it
-skips its propagation step; present, it makes the step a plain OR; and a
-terminal whose in-edges are all absent flags rejects the whole batch
-without array work.
+Every face holds the edges the face rule forces (``_forced_edges``: on a
+ladder diagram, the two axes), so the brute-force scan walks the 2^|free|
+subsets of the other edges only, with the forced edges present.  That is
+the one hot numeric loop in the package: 4,096 subsets for the largest
+diagrams the CLI oracle accepts (22 edges, 12 of them free), where all
+2^|E| would be about four million.  The scan is bit-sliced: the free edges
+are numbered in edge order, lane ``l`` of ``uint64`` word ``j`` stands for
+subset ``64 j + l``, and every numpy pass over the forward and backward reachability rows (one word
+array per vertex) and over the keep mask decides 64 subsets per element.
+Free edges 0-5 select the lane inside a word and are fixed lane patterns;
+the next free edges up to the batch width select the word inside a batch.
+A free edge above the batch width is the same for every subset of a batch,
+so it is a per-batch flag, and a forced edge is a flag that is always
+present: absent, an edge skips its propagation step; present, it makes the
+step a plain OR; and a terminal whose in-edges are all absent flags rejects
+the whole batch without array work.  The accepted subsets are moved back
+to edge masks at the end.
 
 ``recognize_faces`` runs the same batch step on given masks instead: lane
 ``l`` of word ``j`` of edge ``e``'s pattern is bit ``e`` of mask
@@ -43,39 +48,75 @@ def accepted_face_masks(diagram):
 
     The rules are those of ``ladder.is_face``: every terminal is covered, and
     every chosen edge has a forward-reachable tail and a backward-reachable
-    head inside the subset.
+    head inside the subset.  Only the subsets holding every forced edge
+    (``_forced_edges``) are scanned.
     """
     n_edges = diagram.num_edges
     if n_edges == 0:
         return np.zeros(1, np.int64)
-    total = 1 << n_edges
+    forced = _forced_edges(diagram)
+    # Scan positions: the free edges in increasing edge order.
+    free = [e for e in range(n_edges) if not forced >> e & 1]
+    total = 1 << len(free)
     batch = min(_BATCH, total)
-    low = batch.bit_length() - 1  # edges that vary inside one batch
+    low = batch.bit_length() - 1  # free edges that vary inside one batch
     n_words = max(batch >> _LANE_BITS, 1)
-    # A diagram with fewer than six edges fills only the first 2^|E| lanes.
+    # Fewer than six free edges fill only the first 2^|free| lanes.
     first = _ONES if batch >= 64 else np.uint64((1 << batch) - 1)
     index = np.arange(n_words, dtype=np.uint64)
-    has = [
-        _LANE_PATTERNS[e] if e < _LANE_BITS
-        else np.where(index >> np.uint64(e - _LANE_BITS) & np.uint64(1), _ONES, _ZERO)
-        for e in range(low)
-    ]
-    lacks = [~h for h in has]
+    has = [None] * n_edges
+    for p, e in enumerate(free[:low]):
+        has[e] = (
+            _LANE_PATTERNS[p] if p < _LANE_BITS
+            else np.where(index >> np.uint64(p - _LANE_BITS) & np.uint64(1), _ONES, _ZERO)
+        )
+    lacks = [None if h is None else ~h for h in has]
     # One set of word rows for every batch.  Rows allocated per batch made a
     # standalone 22-edge scan up to twice as slow, as the allocator handed
     # the freed rows back to the system between batches.
     rows = _word_rows(diagram, n_words)
     keep = rows[2]
+    # flags[e]: None for an edge that varies inside the batch, else whether
+    # the edge is in every subset of the batch or in none.  A forced edge is
+    # in every subset of every batch.
+    flags = [True if forced >> e & 1 else None for e in range(n_edges)]
+    high = free[low:]
     chunks = []
     for b in range(total >> low):
-        # flags[e]: None for an edge that varies inside the batch, else
-        # whether the edge is in every subset of batch b or in none.
-        flags = [None] * low + [bool(b >> (e - low) & 1) for e in range(low, n_edges)]
+        for p, e in enumerate(high):
+            flags[e] = bool(b >> p & 1)
         if _batch(diagram, has, lacks, rows, flags, first):
             chunks.append(_lane_masks(keep, b * batch))
     if not chunks:
         return np.empty(0, np.int64)
-    return np.concatenate(chunks)
+    return _deposit(np.concatenate(chunks), free, forced)
+
+
+def _forced_edges(diagram):
+    """Mask of the edges in every face, by the face rule alone.
+
+    A face covers every terminal, so a terminal with one in-edge holds it;
+    every chosen edge has a reachable tail, so a tail other than the origin
+    with one in-edge holds that edge too.  On a ladder diagram these are the
+    two axes.
+    """
+    forced = 0
+    for t in diagram.terminal_indices:
+        v = t
+        while v != diagram.origin_index and len(diagram.in_edges[v]) == 1:
+            e = diagram.in_edges[v][0]
+            forced |= 1 << e
+            v = diagram.edge_tails[e]
+    return forced
+
+
+def _deposit(positions, free, forced):
+    """Edge masks of scan positions: bit p moves to edge ``free[p]`` and the
+    forced edges are set.  ``free`` increases, so the order is kept."""
+    masks = np.full(positions.shape, forced, np.int64)
+    for p, e in enumerate(free):
+        masks |= (positions >> np.int64(p) & np.int64(1)) << np.int64(e)
+    return masks
 
 
 def recognize_faces(diagram, masks):

@@ -17,9 +17,10 @@ serialization deterministic.
 Two independent enumerators are provided: ``enumerate_faces`` recurses over
 assignment words (attaching the terminal-edge gadget of each word to every
 face of the corresponding child diagram), while ``brute_force_faces``
-filters all 2^|E| edge subsets through the face recognizer and never shares
-code with the recursion.  Both return a ``FaceSet``: the sorted masks and
-dimensions as numpy arrays, with ``DiagramFace`` objects built on demand.
+filters every edge subset that holds the edges the face rule forces (the two
+axes) through the face recognizer and never shares code with the recursion.
+Both return a ``FaceSet``: the sorted masks and dimensions as numpy arrays,
+with ``DiagramFace`` objects built on demand.
 
 A child diagram shares its parent's origin and coordinates, so every face
 of every sub-composition met in the recursion is an edge set of the
@@ -39,7 +40,7 @@ import numpy as np
 from . import kernels
 from .words import all_words, child_composition, reduce_composition, word_weight
 
-# Brute force walks all 2^|E| subsets; refuse anything bigger than this.
+# Brute force walks 2^(|E| - 2n) subsets; refuse diagrams with more edges.
 MAX_BRUTE_FORCE_EDGES = 22
 # Face bit vectors ride in signed 64-bit arrays during enumeration.
 _MAX_MASK_BITS = 62
@@ -490,11 +491,13 @@ def face_census(k):
 
 
 def brute_force_faces(diagram, max_edges=MAX_BRUTE_FORCE_EDGES):
-    """Independent oracle: filter all 2^|E| subsets through the recognizer.
+    """Independent oracle: filter edge subsets through the recognizer.
 
-    The scan itself is the vectorized kernel in ``kernels``.  Dimensions are
-    cycle ranks |E| - |V| + 1 counted from the masks, independent of the
-    word weights the recursion adds up.
+    The scan itself is the vectorized kernel in ``kernels``.  It derives the
+    edges every face holds from the face rule alone (the 2n axis edges) and
+    filters the 2^(|E| - 2n) subsets of the other edges that hold them all.
+    Dimensions are cycle ranks |E| - |V| + 1 counted from the masks,
+    independent of the word weights the recursion adds up.
     """
     if diagram.num_edges > max_edges:
         raise ValueError(

@@ -279,6 +279,21 @@ class TestSeries:
                 ]
                 assert bounded_exponents(num_vars, max_total) == want
 
+    def test_bounded_exponents_match_recursive_definition(self):
+        def reference(num_vars, max_total):
+            if max_total < 0:
+                return []
+            if num_vars == 0:
+                return [()]
+            return [
+                (first,) + rest
+                for first in range(max_total + 1)
+                for rest in reference(num_vars - 1, max_total - first)
+            ]
+
+        for num_vars, max_total in [(1, 9), (3, 8), (5, 12), (6, 7)]:
+            assert bounded_exponents(num_vars, max_total) == reference(num_vars, max_total)
+
 
 class TestOperators:
     def test_identity(self):

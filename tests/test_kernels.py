@@ -6,19 +6,25 @@ import pytest
 from gcladder import kernels
 from gcladder.ladder import (
     build_diagram,
+    compositions_of,
     compositions_with_edge_bound,
     enumerate_faces,
     is_face,
 )
 
-# The four original cases keep the first ids; (3, 1) has 14 edges, so its
-# default batch holds word-index edges 12-13.  The rest are every diagram of
-# 0-12 edges: an empty scan, a partial first word (|E| < 6), exactly one
-# word (|E| = 6) and several words.  At 64 subsets per batch every in-edge
-# of one terminal of (1, 1, 1) is a per-batch flag, so the batches without
-# one fail terminal coverage before any array work.
+# The four original cases keep the first ids.  The rest are every diagram of
+# 0-12 edges: an empty scan, a scan of the forced edges alone (|E| = 2n), a
+# partial first word (fewer than six free edges) and exactly one word.  The
+# scan fixes the 2n axis edges as present flags, so no diagram here has more
+# than six free edges and none has a word-index edge or a per-batch flag of
+# a free edge; ``WIDE`` below has those.
 OLD = [(1, 1), (2, 1), (1, 1, 1), (3, 1)]
 SMALL = OLD + [c for c in [()] + compositions_with_edge_bound(12) if c not in OLD]
+# 8-14 free edges, too many for the scalar recognizer, so they are checked
+# against the recursion.  At 64 subsets per batch both in-edges of the
+# terminal corner (2, 3) of (1, 1, 3) are per-batch flags, so the batches
+# without either fail terminal coverage before any array work.
+WIDE = [(1, 1, 1, 1), (2, 2), (2, 3), (1, 1, 3)]
 
 
 def _scalar_faces(d):
@@ -37,13 +43,33 @@ def test_backend_matches_scalar_recognizer(comp):
     _check_scan(build_diagram(comp))
 
 
-# 64 is the smallest batch (one word, no word-index edges); at 128 edge 6
-# selects the word and every higher edge is a per-batch flag.
+# 64 is the smallest batch (one word, no word-index edges); at 128 free edge
+# 6 selects the word and every higher free edge is a per-batch flag.
 @pytest.mark.parametrize("batch", [64, 128])
 @pytest.mark.parametrize("comp", SMALL)
 def test_scan_matches_scalar_recognizer_in_small_batches(monkeypatch, comp, batch):
     monkeypatch.setattr(kernels, "_BATCH", batch)
     _check_scan(build_diagram(comp))
+
+
+@pytest.mark.parametrize("batch", [64, 128])
+@pytest.mark.parametrize("comp", WIDE)
+def test_scan_matches_enumeration_in_small_batches(monkeypatch, comp, batch):
+    monkeypatch.setattr(kernels, "_BATCH", batch)
+    d = build_diagram(comp)
+    assert d.num_edges - 2 * d.n >= 8
+    masks = kernels.accepted_face_masks(d)
+    assert masks.dtype == np.int64
+    assert np.array_equal(masks, enumerate_faces(d).masks)
+
+
+# The forced edges come from the face rule alone; on a ladder diagram they
+# are the two axes.
+def test_forced_edges_are_the_axes():
+    for n in range(10):
+        for comp in compositions_of(n):
+            d = build_diagram(comp)
+            assert kernels._forced_edges(d) == d.axes_mask, comp
 
 
 # Given masks ride the batch step as lane patterns: every face and 2,000

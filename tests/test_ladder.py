@@ -169,16 +169,26 @@ def test_brute_force_matches_enumeration(comp):
     assert np.array_equal(brute.dims, rec.dims)
 
 
-# The scan is not capped at the CLI bound: the 17 diagrams of 23-28 edges take
-# about three seconds in all, and give a second, independent count for 15 of
-# the 16 compositions of 5.
-@pytest.mark.parametrize(
-    "comp",
-    [c for c in compositions_with_edge_bound(28) if diagram_edge_count(c) > MAX_BRUTE_FORCE_EDGES],
-)
+# The scan is not capped at the CLI bound.  Past it: every diagram of 23-28
+# edges (the first 17 ids), then the rest of the compositions of 5 and those
+# of 6 with at most 22 free edges, that is edges off the two axes.  With the
+# ones within the bound, brute force gives a second count for all 16
+# compositions of 5, `(1,)*5` at 30 edges included, and 15 of the 32 of 6.
+PAST_CLI_BOUND = [
+    c for c in compositions_with_edge_bound(28) if diagram_edge_count(c) > MAX_BRUTE_FORCE_EDGES
+]
+PAST_CLI_BOUND += [
+    c
+    for n in (5, 6)
+    for c in compositions_of(n)
+    if MAX_BRUTE_FORCE_EDGES < diagram_edge_count(c) <= 2 * n + 22 and c not in PAST_CLI_BOUND
+]
+
+
+@pytest.mark.parametrize("comp", PAST_CLI_BOUND)
 def test_brute_force_past_cli_bound(comp):
     d = build_diagram(comp)
-    brute = brute_force_faces(d, max_edges=28)
+    brute = brute_force_faces(d, max_edges=d.num_edges)
     rec = enumerate_faces(d)
     assert np.array_equal(brute.masks, rec.masks)
     assert np.array_equal(brute.dims, rec.dims)
