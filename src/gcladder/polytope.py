@@ -22,10 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import gcd
-from operator import and_
 
 import numpy as np
 
@@ -416,17 +414,17 @@ def face_counts_by_dim(faces):
 
 def edge_bits(sys):
     """The edge bit paired with each constraint, or 0 when the diagram lacks
-    that edge; built once.  ``phi``, ``psi`` and ``verify_isomorphism`` all
-    read it."""
+    that edge; built once.  ``phi`` and ``psi`` read it."""
     if sys._edge_bits is None:
         diagram = build_diagram(sys.spectrum.composition)
         sys._edge_bits = tuple(diagram.edge_bit(*con.edge) for con in sys.constraints)
     return sys._edge_bits
 
 
-def _images(sys, tight_masks):
-    """Edge masks of the faces with these tight masks: the boundary axes OR
-    the bits of the constraints not tight on each (int64 array)."""
+def _face_images(sys, tight_masks):
+    """Edge masks of the nonempty faces with these tight masks: the boundary
+    axes OR the bits of the constraints not tight on each (int64 array),
+    all decided by one recognizer call."""
     bits = edge_bits(sys)
     tight_masks = np.asarray(tight_masks, dtype=np.int64)
     # An image needs an edge for every constraint not tight on the face.
@@ -439,17 +437,10 @@ def _images(sys, tight_masks):
             f"non-tight constraint {con.kind}{(con.i, con.j)} pairs with an "
             f"edge outside the diagram"
         )
-    axes = build_diagram(sys.spectrum.composition).axes_mask
-    out = np.full(tight_masks.shape, axes, dtype=np.int64)
-    for c, bit in enumerate(bits):
-        out |= np.where(tight_masks >> c & 1, 0, bit)
-    return out
-
-
-def _face_images(sys, tight_masks):
-    # The images of nonempty faces, all decided by one recognizer call.
-    images = _images(sys, tight_masks)
     diagram = build_diagram(sys.spectrum.composition)
+    images = np.full(tight_masks.shape, diagram.axes_mask, dtype=np.int64)
+    for c, bit in enumerate(bits):
+        images |= np.where(tight_masks >> c & 1, 0, bit)
     rejected = np.flatnonzero(~recognize_faces(diagram, images))
     if rejected.size:
         raise AssertionError(
@@ -621,46 +612,39 @@ class IsoReport:
         )
 
 
-def _up_sets(masks):
-    """The up-set of each mask in turn: the bitset of the indices of the
-    masks that contain all of it.  That is one AND per nonzero byte b at
-    byte k of the mask, of table entry 256 k + b: the AND of the holders
-    of the bits of b there, made the first time it is needed."""
-    everything = (1 << len(masks)) - 1
-    rows = _byte_rows(masks)
-    planes = np.packbits(
-        np.unpackbits(rows, axis=1, bitorder="little"), axis=0, bitorder="little"
-    )
-    holders = [int.from_bytes(plane.tobytes(), "little") for plane in planes.T]
-    mask_at, byte_at = rows.nonzero()
-    keys = (byte_at * 256 + rows[mask_at, byte_at]).tolist()
-    table = {}
-    start = 0
-    for end in mask_at.searchsorted(np.arange(1, len(masks) + 1)).tolist():
-        up = everything
-        for key in keys[start:end]:
-            if key not in table:
-                bits = (holders[key >> 8 << 3 | i] for i in _bits(key & 255))
-                table[key] = reduce(and_, bits, everything)
-            up &= table[key]
-        yield up
-        start = end
-
-
 def inclusion_mismatch(left, right):
-    """First pair (a, b), in row-major order, on which the two families of
-    nonempty masks disagree about left[a] <= left[b] versus right[a] <=
-    right[b] as sets; None if they are ordered alike.
+    """Where two families of nonempty masks, vertex sets ``left`` and
+    images ``right``, disagree about inclusion, read through the atoms: the
+    masks left[b] of one bit v.  First, for each atom b in turn, v in
+    left[a] must hold iff right[b] <= right[a]; the first face a that fails
+    gives (a, b).  Then each right[a] must be the OR of right[b] over the
+    atoms b of the bits of left[a], and each of those bits needs an atom;
+    the first face that fails gives (a, None).  None if both hold.
 
-    The relations agree on all pairs iff the up-sets (all b with masks[a]
-    <= masks[b]) agree for every a; the lowest bit of the first difference
-    is the all-pairs scan's first hit.
+    The two together give left[a] <= left[b] iff right[a] <= right[b] for
+    all a, b.  An order isomorphism onto a family closed under union, as
+    the diagram faces are, satisfies both, so there the verdict is the
+    all-pairs one; elsewhere this check may fail more often, but never
+    passes where the all-pairs one fails.
     """
-    for a, (up_left, up_right) in enumerate(zip(_up_sets(left), _up_sets(right))):
-        differ = up_left ^ up_right
-        if differ:
-            return a, (differ & -differ).bit_length() - 1
-    return None
+    right = np.asarray(right, dtype=np.int64)
+    rows = _byte_rows(left)
+    union = np.zeros(right.shape, dtype=np.int64)
+    covered = 0
+    for b, vmask in enumerate(left):
+        if vmask & (vmask - 1):
+            continue
+        v = vmask.bit_length() - 1
+        holds = rows[:, v >> 3] & (1 << (v & 7)) != 0
+        image = right[b]
+        bad = np.flatnonzero(holds != (right & image == image))
+        if bad.size:
+            return int(bad[0]), b
+        union[holds] |= image
+        covered |= vmask
+    covered = np.frombuffer(covered.to_bytes(rows.shape[1], "little"), np.uint8)
+    bad = np.flatnonzero((rows & ~covered).any(axis=1) | (union != right))
+    return (int(bad[0]), None) if bad.size else None
 
 
 def verify_isomorphism(spectrum):
@@ -669,9 +653,12 @@ def verify_isomorphism(spectrum):
     faces, with two-sided round trips.
 
     All faces are mapped at once, by one ``phi`` call on every nonempty
-    face and one ``psi`` call each way of the round trip, and one
-    recognizer call decides every image; dimensions come from the
-    enumerator's table and the preimages are ANDs of vertex sets.  A
+    face and one ``psi`` call on their images, and one recognizer call
+    decides every image; dimensions come from the enumerator's table and
+    the preimages are ANDs of vertex sets.  Once psi(phi(F)) = F for every
+    face F, phi(psi(gamma)) = gamma holds exactly for the diagram faces
+    gamma that are images, so the other round trip needs no second pass.
+    The order is read through the vertices (``inclusion_mismatch``).  A
     failing check names its first offender: a polytope face by its index
     among the nonempty faces, an edge set by its hexadecimal mask.
     """
@@ -694,6 +681,8 @@ def verify_isomorphism(spectrum):
     repeat = np.ones(len(images), dtype=bool)
     repeat[first] = False
     bad = np.flatnonzero(~found | repeat)
+    hit = np.zeros(len(dmasks), dtype=bool)
+    hit[pos[found]] = True
     bijection_ok = not bad.size and len(images) == len(dmasks)
     if bad.size:
         i = bad[0]
@@ -703,8 +692,6 @@ def verify_isomorphism(spectrum):
             j = first[np.searchsorted(distinct, images[i])]
             problems.append(f"faces #{j} and #{i} both map to {hexed(images[i])}")
     elif not bijection_ok:
-        hit = np.zeros(len(dmasks), dtype=bool)
-        hit[pos] = True
         problems.append(f"diagram face {hexed(dmasks[np.argmin(hit)])} is no face's image")
 
     # An image the enumerator lacks (a failing report) is measured directly.
@@ -720,14 +707,20 @@ def verify_isomorphism(spectrum):
             f"{hexed(images[i])}"
         )
 
-    mismatch = inclusion_mismatch([f.vertex_mask for f in pfaces], images.tolist())
+    mismatch = inclusion_mismatch([f.vertex_mask for f in pfaces], images)
     order_ok = mismatch is None
     if not order_ok:
         a, b = mismatch
-        problems.append(
-            f"inclusion mismatch between faces #{a} and #{b} "
-            f"(images {hexed(images[a])} and {hexed(images[b])})"
-        )
+        if b is None:
+            problems.append(
+                f"image {hexed(images[a])} of face #{a} is not the union of "
+                f"its vertices' images"
+            )
+        else:
+            problems.append(
+                f"inclusion mismatch between faces #{a} and #{b} "
+                f"(images {hexed(images[a])} and {hexed(images[b])})"
+            )
 
     back = psi(diagram, images, sys)
     lost = [
@@ -738,19 +731,9 @@ def verify_isomorphism(spectrum):
     if lost:
         i = lost[0]
         problems.append(f"psi(phi(F)) != F at face #{i} (image {hexed(images[i])})")
-    else:
-        # The empty face and a vertex set outside the lattice fail; both are
-        # given every constraint as tight, so that the image is defined.
-        everything = (1 << sys.num_constraints) - 1
-        faces_back = psi(diagram, dmasks, sys)
-        again = _images(
-            sys, [everything if f is None else f.tight_mask for f in faces_back]
-        )
-        missed = np.array([f is None or f.is_empty for f in faces_back])
-        lost = np.flatnonzero(missed | (again != dmasks)).tolist()
-        if lost:
-            problems.append(f"phi(psi(gamma)) != gamma at {hexed(dmasks[lost[0]])}")
-    roundtrip_ok = not lost
+    elif not hit.all():
+        problems.append(f"phi(psi(gamma)) != gamma at {hexed(dmasks[np.argmin(hit)])}")
+    roundtrip_ok = not lost and bool(hit.all())
 
     return IsoReport(
         spectrum=tuple(str(v) for v in spectrum.values),

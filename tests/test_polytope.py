@@ -217,7 +217,7 @@ def reference_verify_isomorphism(spectrum):
                 counterexample = f"dim {f.dim} face maps to dim {g.dim} face"
             break
 
-    mismatch = inclusion_mismatch([f.vertex_mask for f in pfaces], image_masks)
+    mismatch = all_pairs_mismatch([f.vertex_mask for f in pfaces], image_masks)
     order_ok = mismatch is None
     if not order_ok and counterexample is None:
         counterexample = "inclusion mismatch between faces #{} and #{}".format(*mismatch)
@@ -566,6 +566,17 @@ class TestIsomorphism:
             assert image_first == image_second
 
     def test_order_check_matches_all_pairs_scan(self):
+        def check(left, right):
+            # Same verdict as the all-pairs scan, and a named atom pair
+            # really disagrees.
+            got = inclusion_mismatch(left, right)
+            assert (got is None) == (all_pairs_mismatch(left, right) is None)
+            if got is not None and got[1] is not None:
+                a, b = got
+                assert left[b].bit_count() == 1
+                assert (left[b] | left[a] == left[a]) != (right[b] | right[a] == right[a])
+            return got
+
         rng = random.Random(7)
         # At n = 5 the edge masks pass 16 bits: (2, 3) has 22 edges and
         # (1, 3, 1) has 24.
@@ -574,20 +585,32 @@ class TestIsomorphism:
             pfaces = [f for f in face_lattice(sys) if not f.is_empty]
             left = [f.vertex_mask for f in pfaces]
             right = [phi(sys, f).mask for f in pfaces]
-            assert inclusion_mismatch(left, right) is None
-            assert all_pairs_mismatch(left, right) is None
+            assert check(left, right) is None
             if len(right) < 2:
                 continue
             for _ in range(3):
                 a, b = rng.sample(range(len(right)), 2)
                 swapped = list(right)
                 swapped[a], swapped[b] = right[b], right[a]
-                assert inclusion_mismatch(left, swapped) == all_pairs_mismatch(left, swapped)
+                check(left, swapped)
                 merged = list(right)
                 merged[a] = right[b]
-                want = all_pairs_mismatch(left, merged)
-                assert want is not None
-                assert inclusion_mismatch(left, merged) == want, comp
+                assert check(left, merged) is not None, comp
+
+    def test_order_check_needs_unions_of_atoms(self):
+        # All pairs are ordered alike, but the third image is more than the
+        # union of its vertices' images.
+        left, right = [0b01, 0b10, 0b11], [0b001, 0b010, 0b111]
+        assert all_pairs_mismatch(left, right) is None
+        assert inclusion_mismatch(left, right) == (2, None)
+
+    def test_order_check_needs_an_atom_per_vertex(self):
+        assert all_pairs_mismatch([0b01, 0b11], [0b01, 0b11]) is None
+        assert inclusion_mismatch([0b01, 0b11], [0b01, 0b11]) == (1, None)
+        # Here the second image is the union of the one atom's image, and
+        # only the missing atom of bit 1 shows that the order is lost.
+        assert all_pairs_mismatch([0b01, 0b11], [0b01, 0b01]) is not None
+        assert inclusion_mismatch([0b01, 0b11], [0b01, 0b01]) == (1, None)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_compositions_small(self, n):
@@ -736,3 +759,20 @@ class TestMutations:
         assert not report.bijection_ok and not report.roundtrip_ok
         assert report.dimension_ok and report.order_ok
         assert report.counterexample == "face #24 maps to 0xfff, not a diagram face"
+
+    def test_enumeration_with_an_extra_face(self, monkeypatch):
+        # The enumerator lists 0x001 besides the true faces: it is no face's
+        # image, and the round trip from the diagram side loses it.
+        original = polytope.enumerate_faces
+
+        def extra_face(diagram):
+            faces = original(diagram)
+            masks = np.concatenate([np.array([1], dtype=np.int64), faces.masks])
+            dims = np.concatenate([np.zeros(1, dtype=faces.dims.dtype), faces.dims])
+            return FaceSet(diagram, masks, dims)
+
+        monkeypatch.setattr(polytope, "enumerate_faces", extra_face)
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.bijection_ok and not report.roundtrip_ok
+        assert report.order_ok and report.dimension_ok
+        assert report.counterexample == "diagram face 0x001 is no face's image"
