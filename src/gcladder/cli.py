@@ -23,7 +23,6 @@ from .genfunc import (
     verify_vertex_pde,
 )
 from .ladder import (
-    MAX_BRUTE_FORCE_EDGES,
     DiagramFace,
     assignment_of_face,
     brute_force_faces,
@@ -37,6 +36,9 @@ from .polytope import Spectrum, canonical_spectrum, verify_isomorphism
 from .words import child_composition
 
 ORACLE_EDGE_BOUND = 20
+# Most edges of a diagram that `faces` lists or `verify oracle --max-n`
+# scans; the library's scan is capped by free edges (`ladder.MAX_FREE_EDGES`).
+MAX_BRUTE_FORCE_EDGES = 22
 # Largest n that `verify iso` and `verify all` send to the polyhedral oracle,
 # below the library's `polytope.MAX_ORACLE_N`, so `verify all` stays as pinned.
 MAX_ISO_N = 4
@@ -126,12 +128,14 @@ def _decomposition(face):
 
 
 def cmd_faces(args):
-    diagram = build_diagram(args.k)
-    if diagram.num_edges > MAX_BRUTE_FORCE_EDGES:
+    # The closed form refuses a large diagram without building it.
+    edges = diagram_edge_count(args.k)
+    if edges > MAX_BRUTE_FORCE_EDGES:
         raise ValueError(
-            f"cannot list faces: diagram has {diagram.num_edges} edges "
+            f"cannot list faces: diagram has {edges} edges "
             f"(bound {MAX_BRUTE_FORCE_EDGES}); use `gcladder fvector` for counts"
         )
+    diagram = build_diagram(args.k)
     faces = enumerate_faces(diagram)
     decompose = args.decompose and diagram.n > 0
     if args.format == "json":

@@ -603,10 +603,11 @@ def check_transform_round_trip(max_s, max_part):
     """
     bad = []
     for s in range(1, max_s + 1):
-        k = tuple(np.indices((max_part + 1,) * s).reshape(s, -1))
+        grid = np.indices((max_part + 1,) * s).reshape(s, -1)
+        k = tuple(grid)
         for w in all_words(s - 1):
             d = d_transform(k, w)
             back = r_transform(tuple(x + 1 for x in d), w)
             wrong = np.logical_or.reduce([b != a for a, b in zip(k, back)])
-            bad.extend((s, w, tuple(row)) for row in np.stack(k, axis=1)[wrong].tolist())
+            bad.extend((s, w, tuple(row)) for row in grid.T[wrong].tolist())
     return bad

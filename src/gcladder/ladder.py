@@ -40,8 +40,9 @@ import numpy as np
 from . import kernels
 from .words import all_words, child_composition, reduce_composition, word_weight
 
-# Brute force walks 2^(|E| - 2n) subsets; refuse diagrams with more edges.
-MAX_BRUTE_FORCE_EDGES = 22
+# Brute force walks the 2^(|E| - 2n) subsets of the edges off the two axes;
+# refuse diagrams with more such free edges.
+MAX_FREE_EDGES = 26
 # Face bit vectors ride in signed 64-bit arrays during enumeration.
 _MAX_MASK_BITS = 62
 
@@ -490,19 +491,21 @@ def face_census(k):
     return enumerate_faces(build_diagram(k)).census()
 
 
-def brute_force_faces(diagram, max_edges=MAX_BRUTE_FORCE_EDGES):
+def brute_force_faces(diagram):
     """Independent oracle: filter edge subsets through the recognizer.
 
     The scan itself is the vectorized kernel in ``kernels``.  It derives the
     edges every face holds from the face rule alone (the 2n axis edges) and
     filters the 2^(|E| - 2n) subsets of the other edges that hold them all.
+    A diagram with more than ``MAX_FREE_EDGES`` such free edges is refused.
     Dimensions are cycle ranks |E| - |V| + 1 counted from the masks,
     independent of the word weights the recursion adds up.
     """
-    if diagram.num_edges > max_edges:
+    free = diagram.num_edges - 2 * diagram.n
+    if free > MAX_FREE_EDGES:
         raise ValueError(
-            f"{diagram} has {diagram.num_edges} edges; brute force is capped "
-            f"at {max_edges}"
+            f"{diagram} has {free} edges off the axes; brute force is capped "
+            f"at {MAX_FREE_EDGES}"
         )
     masks = kernels.accepted_face_masks(diagram)
     # Every face contains the origin (for n = 0 it is the face's only

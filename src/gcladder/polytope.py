@@ -151,7 +151,7 @@ class GCSystem:
         "_faces",
         "_face_of",
         "_edge_bits",
-        "_vertex_tables",
+        "_vertex_tight",
     )
 
     def __init__(self, spectrum):
@@ -188,11 +188,11 @@ class GCSystem:
             rows.append(tuple(r * q for r in row[:d]) + (row[d] * p,))
         self.rows = tuple(rows)
         self._vertices = None
+        self._vertex_tight = None
         self._vertex_sets = None
         self._faces = None
         self._face_of = None
         self._edge_bits = None
-        self._vertex_tables = None
 
     @property
     def num_constraints(self):
@@ -290,7 +290,10 @@ def _extreme_rays(rows, dim):
 def polytope_vertices(sys):
     """All vertices, sorted: the extreme rays (x, t) of the homogenised cone
     {a.x + b.t >= 0 for every constraint, t >= 0}, read as x / t.  The
-    polytope is bounded, so every extreme ray has t > 0."""
+    polytope is bounded, so every extreme ray has t > 0.
+
+    Each vertex's tight mask comes with it, in the same order; each
+    constraint's vertex set is read off them."""
     if sys._vertices is not None:
         return sys._vertices
     if sys.n > MAX_ORACLE_N:
@@ -302,8 +305,9 @@ def polytope_vertices(sys):
         (tuple(Fraction(a, v[-1]) for a in v[:-1]), tight)
         for v, tight in _extreme_rays(sys.rows + (t_row,), sys.d + 1)
     )
-    holders = _holders([tight for _, tight in found])
     sys._vertices = tuple(point for point, _ in found)
+    sys._vertex_tight = tuple(tight for _, tight in found)
+    holders = _holders(sys._vertex_tight)
     sys._vertex_sets = tuple(holders.get(c, 0) for c in range(sys.num_constraints))
     return sys._vertices
 
@@ -378,8 +382,7 @@ def face_lattice(sys):
         found |= {f & vs for f in found}
     masks = sorted(found)
     # A nonempty face's tight set is the AND of its vertices' tight sets.
-    held = _holders(sys._vertex_sets)
-    vertex_tight = np.array([held.get(v, 0) for v in range(len(verts))], np.int64)
+    vertex_tight = np.array(sys._vertex_tight, np.int64)
     incidence = np.unpackbits(_byte_rows(masks[1:]), axis=1, bitorder="little")
     sizes = incidence.sum(axis=1, dtype=np.int64)
     tight = np.empty(len(masks), np.int64)
@@ -450,38 +453,18 @@ def _face_images(sys, tight_masks):
     return images
 
 
-def _vertex_set_tables(sys):
-    """For each byte of constraints, the AND of their vertex sets for every
-    subset of the byte: ``tables[k][b]`` for the constraints ``8k + i``
-    with bit i set in ``b``.  Built once, after the face lattice."""
-    if sys._vertex_tables is None:
-        everything = (1 << len(sys._vertices)) - 1
-        tables = []
-        for lo in range(0, sys.num_constraints, 8):
-            table = [everything]
-            for vs in sys._vertex_sets[lo : lo + 8]:
-                table += [x & vs for x in table]
-            tables.append(table)
-        sys._vertex_tables = tables
-    return sys._vertex_tables
-
-
 def _preimages(sys, masks):
     """Vertex mask of the polytope face of each edge mask: the AND of the
-    vertex sets of the constraints whose edge bit the mask lacks."""
+    vertex sets of the constraints whose edge bit the mask lacks.  Each
+    vertex set is one row of bytes, ANDed into all the masks that lack its
+    edge at once."""
     masks = np.asarray(masks, dtype=np.int64)
-    absent = np.zeros(masks.shape, dtype=np.int64)
-    for c, bit in enumerate(edge_bits(sys)):
-        absent |= (masks & bit == 0).astype(np.int64) << c
-    tables = _vertex_set_tables(sys)
-    everything = (1 << len(sys._vertices)) - 1
-    out = []
-    for a in absent.tolist():
-        vmask = everything
-        for k, table in enumerate(tables):
-            vmask &= table[a >> 8 * k & 255]
-        out.append(vmask)
-    return out
+    # All vertices first, so that every row has the same width.
+    rows = _byte_rows(((1 << len(sys._vertices)) - 1,) + sys._vertex_sets)
+    out = np.repeat(rows[:1], len(masks), axis=0)
+    for row, bit in zip(rows[1:], edge_bits(sys)):
+        np.bitwise_and(out, row, out=out, where=(masks & bit == 0)[:, None])
+    return [int.from_bytes(vmask, "little") for vmask in out]
 
 
 def phi(sys, face):
@@ -506,7 +489,8 @@ def psi(diagram, face, system):
     constraints of all absent edges, looked up in the face lattice.
 
     Given an array of edge masks instead, returns the list of their faces,
-    with None where the vertex set is no face of the polytope.
+    with None where the vertex set is no face of the polytope.  Either way
+    the vertex sets are ANDed one constraint at a time over all the masks.
     """
     if isinstance(system, Spectrum):
         system = GCSystem(system)

@@ -227,6 +227,7 @@ WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
         (["verify", "all", "--s", "6", "--degree", "6"], "s <= 5"),
         (["verify", "all", "--s", "1", "--degree", "1"], "verify all needs --degree >= 2, got 1"),
         (["verify", "iso", "--lambda", "1,2"], "spectrum must be weakly decreasing, got 1, 2"),
+        (["faces", "--k", "10000000"], "diagram has 20000000 edges (bound 22)"),
     ],
 )
 def test_refusal_contract(argv, reason, monkeypatch, capsys):
@@ -239,6 +240,7 @@ def test_refusal_contract(argv, reason, monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_generating_pde", no_check)
     monkeypatch.setattr(cli, "verify_vertex_pde", no_check)
     monkeypatch.setattr(cli, "check_word_action", no_check)
+    monkeypatch.setattr(cli, "build_diagram", no_check)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcladder import clear_caches, ladder
+from gcladder.cli import MAX_BRUTE_FORCE_EDGES
 from gcladder.genfunc import f_vector
 from gcladder.ladder import (
     BOTTOM,
+    MAX_FREE_EDGES,
     DiagramFace,
     FaceSet,
-    MAX_BRUTE_FORCE_EDGES,
     assignment_of_face,
     brute_force_faces,
     build_diagram,
@@ -169,9 +170,10 @@ def test_brute_force_matches_enumeration(comp):
     assert np.array_equal(brute.dims, rec.dims)
 
 
-# The scan is not capped at the CLI bound.  Past it: every diagram of 23-28
-# edges (the first 17 ids), then the rest of the compositions of 5 and those
-# of 6 with at most 22 free edges, that is edges off the two axes.  With the
+# The scan is capped by free edges (``MAX_FREE_EDGES``), not at the CLI
+# bound on all edges.  Past that bound: every diagram of 23-28 edges (the
+# first 17 ids), then the rest of the compositions of 5 and those of 6 with
+# at most 22 free edges, that is edges off the two axes.  With the
 # ones within the bound, brute force gives a second count for all 16
 # compositions of 5, `(1,)*5` at 30 edges included, and 15 of the 32 of 6.
 PAST_CLI_BOUND = [
@@ -188,7 +190,7 @@ PAST_CLI_BOUND += [
 @pytest.mark.parametrize("comp", PAST_CLI_BOUND)
 def test_brute_force_past_cli_bound(comp):
     d = build_diagram(comp)
-    brute = brute_force_faces(d, max_edges=d.num_edges)
+    brute = brute_force_faces(d)
     rec = enumerate_faces(d)
     assert np.array_equal(brute.masks, rec.masks)
     assert np.array_equal(brute.dims, rec.dims)
@@ -359,10 +361,16 @@ def test_clear_caches_keeps_diagrams_interned():
 
 
 def test_brute_force_refuses_large_diagram():
-    d = build_diagram((3, 3))
-    assert d.num_edges > MAX_BRUTE_FORCE_EDGES
-    with pytest.raises(ValueError, match=str(MAX_BRUTE_FORCE_EDGES)):
+    d = build_diagram((1,) * 6)
+    assert d.num_edges - 2 * d.n == 30 > MAX_FREE_EDGES
+    with pytest.raises(ValueError, match=f"30 edges off the axes; brute force is capped at {MAX_FREE_EDGES}"):
         brute_force_faces(d)
+
+
+def test_brute_force_scans_at_the_free_edge_cap():
+    d = build_diagram((1, 1, 2, 2))
+    assert d.num_edges - 2 * d.n == MAX_FREE_EDGES
+    assert brute_force_faces(d).census() == {i: c for i, c in enumerate(f_vector(d.composition)) if c}
 
 
 def test_single_part_has_one_face():

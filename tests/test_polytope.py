@@ -449,18 +449,19 @@ class TestPhiPsi:
         for gamma in enumerate_faces(diagram):
             assert phi(sys, psi(diagram, gamma, sys)).mask == gamma.mask
 
-    def test_batches_match_single_faces(self):
-        sys = build_system(Spectrum((2, 1, 1, 0)))
-        diagram = build_diagram((1, 2, 1))
+    @pytest.mark.parametrize("comp", compositions_up_to(4), ids=lambda c: "-".join(map(str, c)))
+    def test_batches_match_single_faces(self, comp):
+        # (1, 2, 1) has 14 vertices, two bytes a row; (1, 1, 1, 1) has 40, five
+        sys = build_system(canonical_spectrum(comp))
+        diagram = build_diagram(comp)
         pfaces = [f for f in face_lattice(sys) if not f.is_empty]
         images = phi(sys, pfaces)
         assert images.tolist() == [phi(sys, f).mask for f in pfaces]
         gammas = list(enumerate_faces(diagram))
         back = psi(diagram, np.array([g.mask for g in gammas]), sys)
-        tables = sys._vertex_tables
         assert back == [psi(diagram, g, sys) for g in gammas]
+        assert back == [reference_psi(diagram, g, sys) for g in gammas]
         assert psi(diagram, images, sys) == pfaces
-        assert sys._vertex_tables is tables  # built once per system
 
     def test_psi_rejects_mismatched_composition(self):
         diagram = build_diagram((1, 1, 1))
