@@ -172,6 +172,18 @@ def _check_oracle_max_n(max_n):
             )
 
 
+def _load_bounded_golden(path):
+    # `check_golden` recomputes every entry, so each is held to the fvector bound.
+    golden = records.load_golden(path)
+    for i, entry in enumerate(golden["entries"]):
+        n = sum(entry["composition"])
+        if n > MAX_FVECTOR_N:
+            raise ValueError(
+                f"{path}: entry {i} has n = {n}, above the bound n <= {MAX_FVECTOR_N}"
+            )
+    return golden
+
+
 def _verify_oracle(args, golden, lines, details):
     if args.max_n is not None:
         comps = [c for n in range(1, args.max_n + 1) for c in compositions_of(n)]
@@ -287,7 +299,7 @@ def cmd_verify(args):
         if args.max_n is not None:
             _check_oracle_max_n(args.max_n)
         if args.golden:
-            golden = records.load_golden(args.golden)
+            golden = _load_bounded_golden(args.golden)
     lines = []
     details = []
     results = []

@@ -1,5 +1,4 @@
-"""Subset-filter kernel backing the brute-force face oracle and the batch
-face recognizer of the polytope face map.
+"""Subset-filter kernel backing the brute-force face oracle.
 
 Every face holds the edges the face rule forces (``_forced_edges``: on a
 ladder diagram, the two axes), so the brute-force scan walks the 2^|free|
@@ -18,10 +17,6 @@ present: absent, an edge skips its propagation step; present, it makes the
 step a plain OR; and a terminal whose in-edges are all absent flags rejects
 the whole batch without array work.  The accepted subsets are moved back
 to edge masks at the end.
-
-``recognize_faces`` runs the same batch step on given masks instead: lane
-``l`` of word ``j`` of edge ``e``'s pattern is bit ``e`` of mask
-``64 j + l``, every edge varies, and one pass decides every mask.
 
 Everything else in the package is exact rational or big-integer arithmetic
 and stays in plain Python.
@@ -71,10 +66,18 @@ def accepted_face_masks(diagram):
             else np.where(index >> np.uint64(p - _LANE_BITS) & np.uint64(1), _ONES, _ZERO)
         )
     lacks = [None if h is None else ~h for h in has]
-    # One set of word rows for every batch.  Rows allocated per batch made a
-    # standalone 22-edge scan up to twice as slow, as the allocator handed
-    # the freed rows back to the system between batches.
-    rows = _word_rows(diagram, n_words)
+    # One set of word rows for every batch: forward and backward
+    # reachability per vertex, the keep mask and one scratch row.  Rows
+    # allocated per batch made a standalone 22-edge scan up to twice as
+    # slow, as the allocator handed the freed rows back to the system
+    # between batches.
+    n_vertices = len(diagram.vertices)
+    rows = (
+        np.empty((n_vertices, n_words), np.uint64),
+        np.empty((n_vertices, n_words), np.uint64),
+        np.empty(n_words, np.uint64),
+        np.empty(n_words, np.uint64),
+    )
     keep = rows[2]
     # flags[e]: None for an edge that varies inside the batch, else whether
     # the edge is in every subset of the batch or in none.  A forced edge is
@@ -117,47 +120,6 @@ def _deposit(positions, free, forced):
     for p, e in enumerate(free):
         masks |= (positions >> np.int64(p) & np.int64(1)) << np.int64(e)
     return masks
-
-
-def recognize_faces(diagram, masks):
-    """Whether each edge mask is a face of the diagram (bool array), by the
-    rules of ``ladder.is_face``; like it, raises ``ValueError`` on bits
-    outside the diagram."""
-    masks = np.asarray(masks, dtype=np.int64)
-    if (masks & ~diagram.full_mask).any():
-        raise ValueError("edge subset uses bits outside the diagram")
-    n_edges, count = diagram.num_edges, len(masks)
-    if n_edges == 0 or count == 0:
-        # The degenerate diagram's one face is the empty edge set.
-        return np.ones(count, dtype=bool)
-    n_words = -(-count // 64)
-    lanes = np.zeros(64 * n_words, np.int64)
-    lanes[:count] = masks
-    bits = lanes >> np.arange(n_edges, dtype=np.int64)[:, None] & 1
-    has = (
-        np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-        .view("<u8")
-        .astype(np.uint64)
-    )
-    has, lacks = list(has), list(~has)
-    rows = _word_rows(diagram, n_words)
-    keep = rows[2]
-    _batch(diagram, has, lacks, rows, [None] * n_edges, _ONES)
-    # The lanes past the last mask hold mask 0; their flags are cut off.
-    accepted = np.unpackbits(keep.astype("<u8").view(np.uint8), bitorder="little")
-    return accepted[:count].astype(bool)
-
-
-def _word_rows(diagram, n_words):
-    """Empty word rows for ``_batch``: forward and backward reachability per
-    vertex, the keep mask and one scratch row."""
-    n_vertices = len(diagram.vertices)
-    return (
-        np.empty((n_vertices, n_words), np.uint64),
-        np.empty((n_vertices, n_words), np.uint64),
-        np.empty(n_words, np.uint64),
-        np.empty(n_words, np.uint64),
-    )
 
 
 def _batch(d, has, lacks, rows, flags, first):

@@ -12,9 +12,10 @@ constraint with the vertical edge into (i,j).
 The face-lattice oracle works purely on the inequality system - vertices
 by double description, then faces as intersections of the constraints'
 vertex sets - and never touches the diagram machinery, so its agreement
-with the edge-wise face maps is evidence, not tautology.  The bit-sliced
-kernel decides the map's images, given as lane patterns.  All arithmetic
-is exact (Python ints and ``fractions.Fraction``); there are no tolerances.
+with the edge-wise face maps is evidence, not tautology.  The lattice
+check decides the map's images by looking them up in the diagram's face
+table (``enumerate_faces``).  All arithmetic is exact (Python ints and
+``fractions.Fraction``); there are no tolerances.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .ladder import (
     _bits,
     build_diagram,
     enumerate_faces,
-    face_dimension,
+    is_face,
 )
-from .kernels import recognize_faces
 from .records import hex_mask
 
 # Largest n whose vertices the oracle computes; the tests check its face
@@ -426,8 +426,8 @@ def edge_bits(sys):
 
 def _face_images(sys, tight_masks):
     """Edge masks of the nonempty faces with these tight masks: the boundary
-    axes OR the bits of the constraints not tight on each (int64 array),
-    all decided by one recognizer call."""
+    axes OR the bits of the constraints not tight on each (int64 array).
+    Whether each is a diagram face is left to the caller."""
     bits = edge_bits(sys)
     tight_masks = np.asarray(tight_masks, dtype=np.int64)
     # An image needs an edge for every constraint not tight on the face.
@@ -444,12 +444,6 @@ def _face_images(sys, tight_masks):
     images = np.full(tight_masks.shape, diagram.axes_mask, dtype=np.int64)
     for c, bit in enumerate(bits):
         images |= np.where(tight_masks >> c & 1, 0, bit)
-    rejected = np.flatnonzero(~recognize_faces(diagram, images))
-    if rejected.size:
-        raise AssertionError(
-            f"polytope face mapped to a non-face edge set "
-            f"0x{hex_mask(diagram, int(images[rejected[0]]))}"
-        )
     return images
 
 
@@ -470,38 +464,29 @@ def _preimages(sys, masks):
 def phi(sys, face):
     """Diagram face of a polytope face: keep the boundary axes plus every
     edge whose paired constraint is not tight on the face.  The empty face
-    maps to BOTTOM.
-
-    Given a sequence of nonempty faces instead, returns their edge masks as
-    one int64 array.  Either way one recognizer call decides every image,
-    and a non-face image raises ``AssertionError``.
-    """
-    if not isinstance(face, PolytopeFace):
-        return _face_images(sys, [f.tight_mask for f in face])
+    maps to BOTTOM; an image that is no diagram face raises
+    ``AssertionError``."""
     if face.is_empty:
         return BOTTOM
     (mask,) = _face_images(sys, [face.tight_mask]).tolist()
-    return DiagramFace(build_diagram(sys.spectrum.composition), mask)
+    diagram = build_diagram(sys.spectrum.composition)
+    if not is_face(diagram, mask):
+        raise AssertionError(
+            f"polytope face mapped to a non-face edge set 0x{hex_mask(diagram, mask)}"
+        )
+    return DiagramFace(diagram, mask)
 
 
 def psi(diagram, face, system):
     """Polytope face of a diagram face: the vertices tight on the
-    constraints of all absent edges, looked up in the face lattice.
-
-    Given an array of edge masks instead, returns the list of their faces,
-    with None where the vertex set is no face of the polytope.  Either way
-    the vertex sets are ANDed one constraint at a time over all the masks.
-    """
-    if isinstance(system, Spectrum):
-        system = GCSystem(system)
+    constraints of all absent edges, looked up in the face lattice of the
+    ``GCSystem``."""
     if system.spectrum.composition != diagram.composition:
         raise ValueError(
             f"spectrum composition {system.spectrum.composition} does not match "
             f"diagram composition {diagram.composition}"
         )
     face_lattice(system)
-    if not isinstance(face, DiagramFace):
-        return [system._face_of.get(vmask) for vmask in _preimages(system, face)]
     (vmask,) = _preimages(system, [face.mask])
     return system._face_of[vmask]
 
@@ -636,14 +621,15 @@ def verify_isomorphism(spectrum):
     isomorphism between the polytope's nonempty faces and the diagram's
     faces, with two-sided round trips.
 
-    All faces are mapped at once, by one ``phi`` call on every nonempty
-    face and one ``psi`` call on their images, and one recognizer call
-    decides every image; dimensions come from the enumerator's table and
-    the preimages are ANDs of vertex sets.  Once psi(phi(F)) = F for every
-    face F, phi(psi(gamma)) = gamma holds exactly for the diagram faces
-    gamma that are images, so the other round trip needs no second pass.
-    The order is read through the vertices (``inclusion_mismatch``).  A
-    failing check names its first offender: a polytope face by its index
+    All faces are mapped at once: their images (``_face_images``) are
+    looked up in the enumerator's sorted table, so an image outside it is a
+    bijection failure, and dimensions are compared where an image was
+    found.  The preimages of all images (``_preimages``) are ANDs of vertex
+    sets, each compared with its face's vertex mask.  Once psi(phi(F)) = F
+    for every face F, phi(psi(gamma)) = gamma holds exactly for the diagram
+    faces gamma that are images, so the other round trip needs no second
+    pass.  The order is read through the vertices (``inclusion_mismatch``).
+    A failing check names its first offender: a polytope face by its index
     among the nonempty faces, an edge set by its hexadecimal mask.
     """
     if not isinstance(spectrum, Spectrum):
@@ -658,7 +644,7 @@ def verify_isomorphism(spectrum):
         return "0x" + hex_mask(diagram, int(mask))
 
     problems = []  # one message per failing check, in the order checked
-    images = phi(sys, pfaces)
+    images = _face_images(sys, [f.tight_mask for f in pfaces])
     pos = np.minimum(np.searchsorted(dmasks, images), len(dmasks) - 1)
     found = dmasks[pos] == images
     distinct, first = np.unique(images, return_index=True)
@@ -678,11 +664,8 @@ def verify_isomorphism(spectrum):
     elif not bijection_ok:
         problems.append(f"diagram face {hexed(dmasks[np.argmin(hit)])} is no face's image")
 
-    # An image the enumerator lacks (a failing report) is measured directly.
-    image_dims = dfaces.dims[pos].astype(np.int64)
-    for i in np.flatnonzero(~found):
-        image_dims[i] = face_dimension(DiagramFace(diagram, int(images[i])))
-    wrong_dim = np.flatnonzero(np.array([f.dim for f in pfaces]) != image_dims)
+    image_dims = dfaces.dims[pos]
+    wrong_dim = np.flatnonzero(found & (np.array([f.dim for f in pfaces]) != image_dims))
     dimension_ok = not wrong_dim.size
     if not dimension_ok:
         i = wrong_dim[0]
@@ -706,12 +689,8 @@ def verify_isomorphism(spectrum):
                 f"(images {hexed(images[a])} and {hexed(images[b])})"
             )
 
-    back = psi(diagram, images, sys)
-    lost = [
-        i
-        for i, (f, g) in enumerate(zip(pfaces, back))
-        if g is None or g.vertex_mask != f.vertex_mask
-    ]
+    back = _preimages(sys, images)
+    lost = [i for i, (f, vmask) in enumerate(zip(pfaces, back)) if vmask != f.vertex_mask]
     if lost:
         i = lost[0]
         problems.append(f"psi(phi(F)) != F at face #{i} (image {hexed(images[i])})")

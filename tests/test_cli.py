@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gcladder import cli
+from gcladder import cli, polytope
 from gcladder.cli import main
 from gcladder.genfunc import f_vector
 from gcladder.ladder import FaceSet, brute_force_faces
@@ -177,6 +177,27 @@ def test_verify_oracle_golden_mismatch(tmp_path, capsys):
     assert code == 1 and "mismatch" in out
 
 
+def test_verify_iso_reports_a_non_face_image(monkeypatch, capsys):
+    # Swapped edge bits map face #1 outside the diagram's faces: the run
+    # ends in a failing report, not a traceback.
+    original = polytope.edge_bits
+
+    def swapped(sys):
+        bits = list(original(sys))
+        bits[0], bits[1] = bits[1], bits[0]
+        return tuple(bits)
+
+    monkeypatch.setattr(polytope, "edge_bits", swapped)
+    code = main(["verify", "iso", "--lambda", "2,1,0", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    (check,) = report["checks"]
+    assert check["pass"] is False and check["bijection"] is False
+    assert check["counterexample"] == "face #1 maps to 0x5fd, not a diagram face"
+
+
 def test_verify_oracle_compares_dimensions(monkeypatch, capsys):
     def shifted_dims(diagram):
         faces = brute_force_faces(diagram)
@@ -190,6 +211,8 @@ def test_verify_oracle_compares_dimensions(monkeypatch, capsys):
 
 NOT_GOLDEN = str(ROOT / "README.md")
 WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
+# A golden file whose entry 1 has n = 20, which `check_golden` would recompute.
+GOLDEN_N20 = str(ROOT / "tests" / "data" / "golden_entry_n20.json")
 
 
 @pytest.mark.parametrize(
@@ -228,6 +251,10 @@ WRONG_FORMAT = str(ROOT / "perfbench" / "expected" / "verify_all.json")
         (["verify", "all", "--s", "1", "--degree", "1"], "verify all needs --degree >= 2, got 1"),
         (["verify", "iso", "--lambda", "1,2"], "spectrum must be weakly decreasing, got 1, 2"),
         (["faces", "--k", "10000000"], "diagram has 20000000 edges (bound 22)"),
+        (["verify", "oracle", "--golden", GOLDEN_N20],
+         "golden_entry_n20.json: entry 1 has n = 20, above the bound n <= 12"),
+        (["verify", "all", "--golden", GOLDEN_N20],
+         "golden_entry_n20.json: entry 1 has n = 20, above the bound n <= 12"),
     ],
 )
 def test_refusal_contract(argv, reason, monkeypatch, capsys):

@@ -72,31 +72,25 @@ def test_forced_edges_are_the_axes():
             assert kernels._forced_edges(d) == d.axes_mask, comp
 
 
-# Given masks ride the batch step as lane patterns: every face and 2,000
-# seeded random subsets, in one call that spans several words and ends in a
-# partial one.
+# The lattice check reads face-ness from the enumerator's table: on every
+# face and 2,000 seeded random subsets, membership in it is ``is_face``.
 @pytest.mark.parametrize("comp", [()] + compositions_with_edge_bound(30))
 def test_recognize_faces_matches_is_face(comp):
     d = build_diagram(comp)
     rng = random.Random(13)
-    masks = enumerate_faces(d).masks.tolist()
-    masks += [rng.getrandbits(d.num_edges) for _ in range(2000)]
-    flags = kernels.recognize_faces(d, np.array(masks, dtype=np.int64))
-    assert flags.dtype == bool
-    assert flags.tolist() == [is_face(d, m) for m in masks]
+    table = enumerate_faces(d).masks
+    masks = table.tolist() + [rng.getrandbits(d.num_edges) for _ in range(2000)]
+    listed = np.isin(np.array(masks, dtype=np.int64), table)
+    assert listed.tolist() == [is_face(d, m) for m in masks]
 
 
 def test_recognize_faces_edge_cases():
     # The diagram of () has no edges; its one face is the empty edge set.
     assert build_diagram(()).num_edges == 0
-    assert kernels.recognize_faces(build_diagram(()), [0]).tolist() == [True]
+    assert is_face(build_diagram(()), 0)
+    assert enumerate_faces(build_diagram(())).masks.tolist() == [0]
     d = build_diagram((1,))
-    flags = kernels.recognize_faces(d, [0, 1, 2, 3])
-    assert flags.tolist() == [False, False, False, True]
-    empty = kernels.recognize_faces(d, np.empty(0, np.int64))
-    assert empty.shape == (0,) and empty.dtype == bool
+    assert [is_face(d, m) for m in [0, 1, 2, 3]] == [False, False, False, True]
     for diagram, mask in [(d, 4), (d, -1), (build_diagram(()), 1)]:
         with pytest.raises(ValueError, match="bits outside the diagram"):
             is_face(diagram, mask)
-        with pytest.raises(ValueError, match="bits outside the diagram"):
-            kernels.recognize_faces(diagram, [3 & diagram.full_mask, mask])

@@ -8,7 +8,6 @@ import pytest
 
 from gcladder import ladder, polytope
 from gcladder.genfunc import f_vector
-from gcladder.kernels import recognize_faces
 from gcladder.ladder import (
     BOTTOM,
     DiagramFace,
@@ -455,13 +454,13 @@ class TestPhiPsi:
         sys = build_system(canonical_spectrum(comp))
         diagram = build_diagram(comp)
         pfaces = [f for f in face_lattice(sys) if not f.is_empty]
-        images = phi(sys, pfaces)
+        images = polytope._face_images(sys, [f.tight_mask for f in pfaces])
         assert images.tolist() == [phi(sys, f).mask for f in pfaces]
         gammas = list(enumerate_faces(diagram))
-        back = psi(diagram, np.array([g.mask for g in gammas]), sys)
-        assert back == [psi(diagram, g, sys) for g in gammas]
-        assert back == [reference_psi(diagram, g, sys) for g in gammas]
-        assert psi(diagram, images, sys) == pfaces
+        back = polytope._preimages(sys, np.array([g.mask for g in gammas]))
+        assert back == [psi(diagram, g, sys).vertex_mask for g in gammas]
+        assert back == [reference_psi(diagram, g, sys).vertex_mask for g in gammas]
+        assert polytope._preimages(sys, images) == [f.vertex_mask for f in pfaces]
 
     def test_psi_rejects_mismatched_composition(self):
         diagram = build_diagram((1, 1, 1))
@@ -632,16 +631,14 @@ class TestIsomorphism:
         assert report.passed and report == reference_verify_isomorphism(spectrum)
 
     def test_one_recognizer_call_per_face(self, monkeypatch):
-        decided = []
+        # The images are decided by the enumerator's table alone: no face
+        # recognizer runs.
+        def no_recognizer(diagram, mask):
+            raise AssertionError("a face recognizer ran")
 
-        def counted(diagram, masks):
-            decided.extend(np.asarray(masks).tolist())
-            return recognize_faces(diagram, masks)
-
-        monkeypatch.setattr(polytope, "recognize_faces", counted)
+        monkeypatch.setattr(polytope, "is_face", no_recognizer)
         report = verify_isomorphism(canonical_spectrum((1, 1, 1, 1)))
         assert report.passed and report.face_count == 567
-        assert len(decided) == 567
 
 
 # No vacuous PASS: each check fails on a program broken in the way it guards
@@ -692,25 +689,16 @@ class TestMutations:
 
     def test_swapped_edges_fail_the_bijection(self, monkeypatch):
         # Swapping two constraints' edges relabels two edge bits, which keeps
-        # every inclusion, so the order check cannot see it; the recognizer
-        # rejects the first image that is no face.  With a recognizer that
-        # accepts everything (the batch one of phi and the scalar one that
-        # face_dimension calls on an image the enumerator lacks) the
-        # bijection check finds that image missing from the diagram faces.
+        # every inclusion, so the order check cannot see it; the bijection
+        # check finds the first image missing from the diagram faces, and
+        # phi's recognizer rejects that image.
         def edit(bits):
             bits[0], bits[1] = bits[1], bits[0]
 
         _edited_edge_table(monkeypatch, edit)
-        with pytest.raises(AssertionError, match="non-face edge set 0x5fd"):
-            verify_isomorphism(Spectrum((2, 1, 0)))
         sys = build_system(Spectrum((2, 1, 0)))
         with pytest.raises(AssertionError, match="non-face edge set 0x5fd"):
             phi(sys, face_lattice(sys)[2])  # face #1; #0 of the lattice is empty
-        def accept_all(diagram, masks):
-            return np.ones(len(masks), dtype=bool)
-
-        monkeypatch.setattr(polytope, "recognize_faces", accept_all)
-        monkeypatch.setattr(ladder, "is_face", lambda diagram, mask: True)
         report = _failing_report(Spectrum((2, 1, 0)))
         assert not report.bijection_ok and report.order_ok
         assert report.counterexample == "face #1 maps to 0x5fd, not a diagram face"
@@ -743,8 +731,8 @@ class TestMutations:
 
     def test_enumeration_with_a_wrong_face(self, monkeypatch):
         # The enumerator lists 0xffe, which lacks an axis edge, with dim 0 in
-        # place of the top face 0xfff: the top's image is missing but still
-        # gets its own dimension, and 0xffe does not come back from the
+        # place of the top face 0xfff: the top's image is missing, so its
+        # dimension is not compared, and 0xffe does not come back from the
         # round trip.
         original = polytope.enumerate_faces
 
