@@ -625,7 +625,8 @@ def verify_isomorphism(spectrum):
     looked up in the enumerator's sorted table, so an image outside it is a
     bijection failure, and dimensions are compared where an image was
     found.  The preimages of all images (``_preimages``) are ANDs of vertex
-    sets, each compared with its face's vertex mask.  Once psi(phi(F)) = F
+    sets, each compared with its face's vertex mask, and the single-face
+    ``psi`` takes the polytope's own image back as well.  Once psi(phi(F)) = F
     for every face F, phi(psi(gamma)) = gamma holds exactly for the diagram
     faces gamma that are images, so the other round trip needs no second
     pass.  The order is read through the vertices (``inclusion_mismatch``).
@@ -691,6 +692,9 @@ def verify_isomorphism(spectrum):
 
     back = _preimages(sys, images)
     lost = [i for i, (f, vmask) in enumerate(zip(pfaces, back)) if vmask != f.vertex_mask]
+    # The public single-face psi takes the polytope's own image back too.
+    if not lost and psi(diagram, DiagramFace(diagram, int(images[-1])), sys) is not pfaces[-1]:
+        lost = [len(pfaces) - 1]
     if lost:
         i = lost[0]
         problems.append(f"psi(phi(F)) != F at face #{i} (image {hexed(images[i])})")

@@ -729,6 +729,15 @@ class TestMutations:
         assert report.bijection_ok and report.order_ok and report.dimension_ok
         assert re.fullmatch(r"psi\(phi\(F\)\) != F at face #\d+ \(image 0x[0-9a-f]{3}\)", report.counterexample)
 
+    def test_single_face_psi_losing_the_polytope(self, monkeypatch):
+        # The batch preimages are right, but the public psi sends the
+        # polytope's image to the empty face: the round trip names the top.
+        monkeypatch.setattr(polytope, "psi", lambda diagram, face, system: face_lattice(system)[0])
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.roundtrip_ok
+        assert report.bijection_ok and report.order_ok and report.dimension_ok
+        assert report.counterexample == "psi(phi(F)) != F at face #24 (image 0xfff)"
+
     def test_enumeration_with_a_wrong_face(self, monkeypatch):
         # The enumerator lists 0xffe, which lacks an axis edge, with dim 0 in
         # place of the top face 0xfff: the top's image is missing, so its
