@@ -5,16 +5,20 @@ ladder diagram, the two axes), so the brute-force scan walks the 2^|free|
 subsets of the other edges only, with the forced edges present.  That is
 the one hot numeric loop in the package: 4,096 subsets for the largest
 diagrams the CLI oracle accepts (22 edges, 12 of them free), where all
-2^|E| would be about four million.  The scan is bit-sliced: the free edges
-are numbered in edge order, lane ``l`` of ``uint64`` word ``j`` stands for
-subset ``64 j + l``, and every numpy pass over the forward and backward reachability rows (one word
-array per vertex) and over the keep mask decides 64 subsets per element.
-Free edges 0-5 select the lane inside a word and are fixed lane patterns;
-the next free edges up to the batch width select the word inside a batch.
-A free edge above the batch width is the same for every subset of a batch,
-so it is a per-batch flag, and a forced edge is a flag that is always
-present: absent, an edge skips its propagation step; present, it makes the
-step a plain OR; and a terminal whose in-edges are all absent flags rejects
+2^|E| would be about four million.  The scan applies the local face rule
+(``ladder.is_face_local``): every terminal has a chosen in-edge, and every
+other vertex but the origin has a chosen in-edge exactly when it has a
+chosen out-edge.  It is bit-sliced: the free edges are numbered in edge
+order, lane ``l`` of ``uint64`` word ``j`` stands for subset ``64 j + l``,
+and every numpy pass over a vertex's in- and out-edge unions and the keep
+row decides 64 subsets per element.  Free edges 0-5 select the lane inside
+a word and are fixed lane patterns; the next free edges up to the batch
+width select the word inside a batch.  A free edge above the batch width
+is the same for every subset of a batch, so it is a per-batch flag, and a
+forced edge is a flag that is always present.  A present flag makes a
+vertex's union all lanes, and a vertex whose unions the flags alone set
+against the rule (a terminal with every in-edge absent, or an inner vertex
+with a present edge on one side and all edges absent on the other) rejects
 the whole batch without array work.  The accepted subsets are moved back
 to edge masks at the end.
 
@@ -25,7 +29,7 @@ and stays in plain Python.
 import numpy as np
 
 # Subsets per batch: a power of two, at least one word (64).  Bounds the
-# size of the per-vertex reachability rows (2^18 subsets = 4,096 words).
+# size of the keep and scratch rows (2^18 subsets = 4,096 words).
 _BATCH = 1 << 18
 
 _LANE_BITS = 6
@@ -41,10 +45,9 @@ _LANE_PATTERNS = tuple(
 def accepted_face_masks(diagram):
     """Sorted masks of all face subsets of the diagram's edge set.
 
-    The rules are those of ``ladder.is_face``: every terminal is covered, and
-    every chosen edge has a forward-reachable tail and a backward-reachable
-    head inside the subset.  Only the subsets holding every forced edge
-    (``_forced_edges``) are scanned.
+    The rule is the local one of ``ladder.is_face_local``, which accepts the
+    same subsets as ``ladder.is_face``.  Only the subsets holding every
+    forced edge (``_forced_edges``) are scanned.
     """
     n_edges = diagram.num_edges
     if n_edges == 0:
@@ -65,20 +68,12 @@ def accepted_face_masks(diagram):
             _LANE_PATTERNS[p] if p < _LANE_BITS
             else np.where(index >> np.uint64(p - _LANE_BITS) & np.uint64(1), _ONES, _ZERO)
         )
-    lacks = [None if h is None else ~h for h in has]
-    # One set of word rows for every batch: forward and backward
-    # reachability per vertex, the keep mask and one scratch row.  Rows
-    # allocated per batch made a standalone 22-edge scan up to twice as
-    # slow, as the allocator handed the freed rows back to the system
-    # between batches.
-    n_vertices = len(diagram.vertices)
-    rows = (
-        np.empty((n_vertices, n_words), np.uint64),
-        np.empty((n_vertices, n_words), np.uint64),
-        np.empty(n_words, np.uint64),
-        np.empty(n_words, np.uint64),
-    )
-    keep = rows[2]
+    # One set of word rows for every batch: the keep row and two scratch
+    # rows.  Rows allocated per batch made a standalone 22-edge scan up to
+    # twice as slow, as the allocator handed the freed rows back to the
+    # system between batches.
+    rows = tuple(np.empty(n_words, np.uint64) for _ in range(3))
+    keep = rows[0]
     # flags[e]: None for an edge that varies inside the batch, else whether
     # the edge is in every subset of the batch or in none.  A forced edge is
     # in every subset of every batch.
@@ -88,7 +83,7 @@ def accepted_face_masks(diagram):
     for b in range(total >> low):
         for p, e in enumerate(high):
             flags[e] = bool(b >> p & 1)
-        if _batch(diagram, has, lacks, rows, flags, first):
+        if _batch(diagram, has, rows, flags, first):
             chunks.append(_lane_masks(keep, b * batch))
     if not chunks:
         return np.empty(0, np.int64)
@@ -98,10 +93,10 @@ def accepted_face_masks(diagram):
 def _forced_edges(diagram):
     """Mask of the edges in every face, by the face rule alone.
 
-    A face covers every terminal, so a terminal with one in-edge holds it;
-    every chosen edge has a reachable tail, so a tail other than the origin
-    with one in-edge holds that edge too.  On a ladder diagram these are the
-    two axes.
+    A face covers every terminal, so a terminal with one in-edge holds it.
+    A chosen edge's tail, unless it is the origin, has a chosen out-edge and
+    so needs a chosen in-edge: a tail with one in-edge holds that edge too.
+    On a ladder diagram these are the two axes.
     """
     forced = 0
     for t in diagram.terminal_indices:
@@ -122,70 +117,51 @@ def _deposit(positions, free, forced):
     return masks
 
 
-def _batch(d, has, lacks, rows, flags, first):
+def _batch(d, has, rows, flags, first):
     """Set the keep row to the faces of one batch, starting from the lanes in
-    ``first``; False when the flags alone rule out every subset.  ``has`` and
-    ``lacks`` are the word patterns of the edges that vary inside a batch,
-    ``rows`` the forward and backward reachability, keep and scratch rows."""
-    fwd, bwd, keep, tmp = rows
-    keep[:] = first
-    for t in d.terminal_indices:
-        in_edges = d.in_edges[t]
-        if any(flags[e] for e in in_edges):
+    ``first``; False when the flags alone rule out every subset.  ``has`` are
+    the word patterns of the edges that vary inside a batch and ``rows`` the
+    keep row and two scratch rows.
+
+    The local rule: every vertex but the origin has a chosen in-edge exactly
+    when it has a chosen out-edge, except that a terminal has no out-edges
+    and needs a chosen in-edge.  The keep row gathers the lanes that break
+    the rule and is inverted at the end.
+    """
+    keep, ins, outs = rows
+    keep[:] = ~first
+    for v in range(len(d.vertices)):
+        if v == d.origin_index:
             continue
-        varying = [e for e in in_edges if flags[e] is None]
-        if not varying:
-            return False
-        cover = has[varying[0]]
-        for e in varying[1:]:
-            cover = np.bitwise_or(cover, has[e], out=tmp)
-        keep &= cover
-    tails, heads, topo = d.edge_tails, d.edge_heads, d.edges_topo
-    fwd_live = _reach(fwd, tmp, has, [d.origin_index], topo, tails, heads, flags)
-    bwd_live = _reach(bwd, tmp, has, d.terminal_indices, topo[::-1], heads, tails, flags)
-    for e, flag in enumerate(flags):
-        if flag is False:
-            continue
-        t, h = tails[e], heads[e]
-        on_path = fwd_live[t] and bwd_live[h]
-        if flag:
-            if not on_path:
+        into = _union(d.in_edges[v], has, flags, ins)
+        out = True if v in d.terminal_indices else _union(d.out_edges[v], has, flags, outs)
+        if isinstance(into, bool) and isinstance(out, bool):
+            if into != out:
                 return False
-            keep &= fwd[t]
-            keep &= bwd[h]
-        elif on_path:
-            np.bitwise_and(fwd[t], bwd[h], out=tmp)
-            tmp |= lacks[e]
-            keep &= tmp
         else:
-            keep &= lacks[e]
+            keep |= np.bitwise_xor(_word(into), _word(out), out=outs)
+    np.invert(keep, out=keep)
     return True
 
 
-def _reach(reach, tmp, has, seeds, order, src, dst, flags):
-    """Fill ``reach[v]`` with the subsets in which v is reached from a seed
-    along chosen edges taken in ``order``; returns which vertices are reached
-    in some subset (the other rows are left unset)."""
-    live = [False] * len(reach)
-    for v in seeds:
-        reach[v] = _ONES
-        live[v] = True
-    for e in order:
-        s, t = src[e], dst[e]
-        if not live[s] or flags[e] is False:
-            continue
-        if not live[t]:
-            if flags[e]:
-                reach[t] = reach[s]
-            else:
-                np.bitwise_and(has[e], reach[s], out=reach[t])
-            live[t] = True
-        elif flags[e]:
-            np.bitwise_or(reach[t], reach[s], out=reach[t])
-        else:
-            np.bitwise_and(has[e], reach[s], out=tmp)
-            np.bitwise_or(reach[t], tmp, out=reach[t])
-    return live
+def _union(edges, has, flags, out):
+    """Whether some edge of ``edges`` is chosen: True or False when the batch
+    flags decide it for every subset, else a word row (written to ``out``
+    when it takes more than one pattern)."""
+    row = False
+    for e in edges:
+        if flags[e]:
+            return True
+        if flags[e] is None:
+            row = has[e] if row is False else np.bitwise_or(row, has[e], out=out)
+    return row
+
+
+def _word(value):
+    """A union as a word: the constants become all or no lanes."""
+    if value is True:
+        return _ONES
+    return _ZERO if value is False else value
 
 
 def _lane_masks(keep, base):

@@ -18,7 +18,9 @@ Two independent enumerators are provided: ``enumerate_faces`` recurses over
 assignment words (attaching the terminal-edge gadget of each word to every
 face of the corresponding child diagram), while ``brute_force_faces``
 filters every edge subset that holds the edges the face rule forces (the two
-axes) through the face recognizer and never shares code with the recursion.
+axes) through the local face rule of ``is_face_local`` (terminals covered,
+and an inner vertex has a chosen in-edge exactly when it has a chosen
+out-edge) and never shares code with the recursion.
 Both return a ``FaceSet``: the sorted masks and dimensions as numpy arrays,
 with ``DiagramFace`` objects built on demand.
 
@@ -492,11 +494,12 @@ def face_census(k):
 
 
 def brute_force_faces(diagram):
-    """Independent oracle: filter edge subsets through the recognizer.
+    """Independent oracle: filter edge subsets through the local face rule.
 
     The scan itself is the vectorized kernel in ``kernels``.  It derives the
     edges every face holds from the face rule alone (the 2n axis edges) and
-    filters the 2^(|E| - 2n) subsets of the other edges that hold them all.
+    filters the 2^(|E| - 2n) subsets of the other edges that hold them all
+    by the rule of ``is_face_local``.
     A diagram with more than ``MAX_FREE_EDGES`` such free edges is refused.
     Dimensions are cycle ranks |E| - |V| + 1 counted from the masks,
     independent of the word weights the recursion adds up.

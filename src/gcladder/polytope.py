@@ -72,13 +72,20 @@ class Spectrum:
 
     @classmethod
     def parse(cls, text):
-        """Comma-separated exact rationals, e.g. "2,1,0" or "3/2,3/2,0"."""
+        """Comma-separated exact rationals, e.g. "2,1,0" or "3/2,3/2,0".
+
+        An entry with an exponent ("1e-9") is refused: ``Fraction`` expands
+        it as a power of ten, which for a large exponent never finishes.
+        """
         values = []
         for part in text.split(","):
+            part = part.strip()
+            if "e" in part.lower():
+                raise ValueError(f"exponent in {part!r}; write an integer, decimal or p/q")
             try:
-                values.append(Fraction(part.strip()))
+                values.append(Fraction(part))
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {part.strip()!r}") from None
+                raise ValueError(f"zero denominator in {part!r}") from None
         return cls(values)
 
     @property

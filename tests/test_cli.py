@@ -255,6 +255,8 @@ GOLDEN_N20 = str(ROOT / "tests" / "data" / "golden_entry_n20.json")
          "golden_entry_n20.json: entry 1 has n = 20, above the bound n <= 12"),
         (["verify", "all", "--golden", GOLDEN_N20],
          "golden_entry_n20.json: entry 1 has n = 20, above the bound n <= 12"),
+        (["verify", "iso", "--lambda", "1,1e-999999999"], "exponent in '1e-999999999'"),
+        (["verify", "iso", "--lambda", "1e99999,0"], "exponent in '1e99999'"),
     ],
 )
 def test_refusal_contract(argv, reason, monkeypatch, capsys):

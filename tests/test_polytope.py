@@ -502,6 +502,26 @@ class TestRepresentativePoint:
         for face in enumerate_faces(build_diagram(comp)):
             assert representative_strictness(face, sp) == []
 
+    @pytest.mark.parametrize(
+        "shift, violation",
+        [
+            (0, "horizontal edge into (1, 1): present=True strict=False"),
+            (1, "point infeasible at (1, 1)"),
+        ],
+    )
+    def test_strictness_reports_a_moved_entry(self, monkeypatch, shift, violation):
+        # (1, 1) of the top face moves onto its neighbour (1, 2), or past it.
+        original = polytope.representative_point
+
+        def moved(face, spectrum):
+            values = original(face, spectrum)
+            values[(1, 1)] = values[(1, 2)] + shift
+            return values
+
+        monkeypatch.setattr(polytope, "representative_point", moved)
+        d = build_diagram((1, 1, 1))
+        assert representative_strictness(DiagramFace(d, d.full_mask), Spectrum((2, 1, 0))) == [violation]
+
     def test_integral_spectrum_gives_dyadic_coordinates(self):
         # repeated halving of integer boundary values
         for comp in [(1, 1), (1, 1, 1), (2, 2)]:
@@ -702,6 +722,36 @@ class TestMutations:
         report = _failing_report(Spectrum((2, 1, 0)))
         assert not report.bijection_ok and report.order_ok
         assert report.counterexample == "face #1 maps to 0x5fd, not a diagram face"
+
+    def test_swapped_images_fail_the_order(self, monkeypatch):
+        # Faces #0 and #1 trade images: still a bijection onto the diagram
+        # faces with the same dimensions, but the inclusions no longer match.
+        original = polytope._face_images
+
+        def swapped(sys, tight_masks):
+            images = original(sys, tight_masks)
+            images[[0, 1]] = images[[1, 0]]
+            return images
+
+        monkeypatch.setattr(polytope, "_face_images", swapped)
+        report = _failing_report(Spectrum((2, 1, 0)))
+        assert not report.order_ok
+        assert report.bijection_ok and report.dimension_ok
+        assert report.counterexample == (
+            "inclusion mismatch between faces #4 and #0 (images 0x3ff and 0x5fb)"
+        )
+
+    def test_constraint_without_an_edge(self, monkeypatch):
+        # up(1, 1) loses its edge: faces on which it is not tight have no image.
+        def edit(bits):
+            bits[0] = 0
+
+        _edited_edge_table(monkeypatch, edit)
+        with pytest.raises(
+            AssertionError,
+            match=re.escape("non-tight constraint up(1, 1) pairs with an edge outside the diagram"),
+        ):
+            verify_isomorphism(Spectrum((2, 1, 0)))
 
     def test_off_by_one_dimension(self, monkeypatch):
         def edit(sys, faces):

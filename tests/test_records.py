@@ -71,6 +71,11 @@ def test_golden_file_regression():
     assert records.check_golden(payload) == []
 
 
+# The README's regenerate command writes this payload over the golden file.
+def test_golden_payload_regenerates_golden_file():
+    assert records.dumps(records.golden_payload(6)).encode() == GOLDEN_PATH.read_bytes()
+
+
 def test_golden_check_flags_mismatch():
     payload = json.loads(GOLDEN_PATH.read_text())
     payload["entries"][0]["coefficients"] = ["999"]
