@@ -48,8 +48,8 @@ from .polytope import (
     polytope_vertices,
     psi,
     representative_point,
-    representative_strictness,
     verify_isomorphism,
+    witness_violations,
 )
 from .words import (
     BOTH,

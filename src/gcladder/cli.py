@@ -231,32 +231,24 @@ def _pde_s_values(args):
     return [args.s] if args.s is not None else list(PDE_S_RANGE)
 
 
-def _verify_pde(args, lines, details, vertex):
-    runner = verify_vertex_pde if vertex else verify_generating_pde
+def _verify_reports(reports, to_record, lines, details):
     ok = True
-    for s in _pde_s_values(args):
-        report = runner(s, args.degree)
+    for report in reports:
         ok = ok and report.passed
         lines.append("  " + report.summary())
-        details.append(records.pde_report_record(report))
+        details.append(to_record(report))
     return ok
 
 
-def _verify_iso(spectra, lines, details):
-    good = True
-    for spectrum in spectra:
-        report = verify_isomorphism(spectrum)
-        good = good and report.passed
-        lines.append("  " + report.summary())
-        details.append(records.iso_report_record(report))
-    return good
+def _verify_pde(args, lines, details, vertex):
+    runner = verify_vertex_pde if vertex else verify_generating_pde
+    reports = (runner(s, args.degree) for s in _pde_s_values(args))
+    return _verify_reports(reports, records.pde_report_record, lines, details)
 
 
 def _verify_identities(args, lines, details):
     expansion = all(check_operator_expansion(s) for s in (2, 3, 4))
-    action = not check_word_action(2, args.degree) and not check_word_action(
-        3, args.degree
-    )
+    action = not (check_word_action(2, args.degree) or check_word_action(3, args.degree))
     round_trip = not check_transform_round_trip(5, 4)
     for name, good in (
         ("operator expansion", expansion),
@@ -314,7 +306,8 @@ def cmd_verify(args):
         else:
             lines.append("isomorphism:")
             spectra = [spectrum]
-        results.append(_verify_iso(spectra, lines, details))
+        reports = map(verify_isomorphism, spectra)
+        results.append(_verify_reports(reports, records.iso_report_record, lines, details))
     if args.target in ("pde", "all"):
         lines.append("generating-function identity:")
         results.append(_verify_pde(args, lines, details, vertex=False))

@@ -27,7 +27,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import factorial, lcm, prod
 from operator import add, and_, ne, or_, sub
 
 import numpy as np
@@ -75,18 +76,12 @@ class TPoly:
     def __add__(self, other):
         if not isinstance(other, TPoly):
             return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(
-            self.coefficient(i) + other.coefficient(i) for i in range(size)
-        )
+        return TPoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __sub__(self, other):
         if not isinstance(other, TPoly):
             return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(
-            self.coefficient(i) - other.coefficient(i) for i in range(size)
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, TPoly):
@@ -101,9 +96,7 @@ class TPoly:
 
     def shift(self, j):
         """Multiply by t^j."""
-        if self.is_zero or j == 0:
-            return self if j == 0 else TPoly()
-        return TPoly((0,) * j + self.coeffs)
+        return self if j == 0 else TPoly((0,) * j + self.coeffs)
 
     def __call__(self, x):
         acc = 0
@@ -169,14 +162,6 @@ def f_polynomial(k):
 def f_vector(k):
     """Face counts by dimension, lowest first."""
     return tuple(f_polynomial(k).coeffs)
-
-
-def _factorial_product(exps):
-    out = 1
-    for e in exps:
-        for i in range(2, e + 1):
-            out *= i
-    return out
 
 
 def bounded_exponents(num_vars, max_total):
@@ -300,9 +285,7 @@ class DiffOperator:
     @property
     def order(self):
         """Largest total derivative order among the monomials."""
-        if not self.terms:
-            return 0
-        return max(sum(orders) for _, orders in self.terms)
+        return max((sum(orders) for _, orders in self.terms), default=0)
 
     def _coerce(self, other):
         if isinstance(other, DiffOperator):
@@ -347,10 +330,7 @@ class DiffOperator:
                 terms[key] = terms.get(key, Fraction(0)) + c1 * c2
         return DiffOperator(self.num_vars, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
@@ -399,7 +379,7 @@ class DiffOperator:
                     acc.extend([0] * (t_pow + len(coeffs) - len(acc)))
                 for j, a in enumerate(coeffs, t_pow):
                     acc[j] += c * a
-            terms[kept] = TPoly(acc) * Fraction(1, denom * _factorial_product(kept))
+            terms[kept] = TPoly(acc) * Fraction(1, denom * prod(map(factorial, kept)))
         return TruncatedSeries(len(keep), validity, terms)
 
 
@@ -535,18 +515,6 @@ def word_action_closed_form(k, e, w):
     d = d_transform(k, w)
     checks = [x >= 0 for x in d] + [a == b for a, b in zip(e, word_tilde(w))]
     return functools.reduce(and_, checks, True), d, word_weight(w)
-
-
-def expected_word_action(s, k, e, w):
-    """``word_action_closed_form`` on one monomial, as a series whose
-    validity degree is the monomial's total less one per letter (every
-    letter contributes exactly one derivative)."""
-    present, d, t_pow = word_action_closed_form(tuple(k), tuple(e), w)
-    validity = sum(k) + sum(e) - len(w)
-    terms = {}
-    if present:
-        terms[tuple(d)] = TPoly.ONE.shift(t_pow) * Fraction(1, _factorial_product(d))
-    return TruncatedSeries(s, validity, terms)
 
 
 def check_word_action(s, max_degree):

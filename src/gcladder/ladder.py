@@ -35,6 +35,7 @@ composition's table is memoized.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -84,9 +85,7 @@ class LadderDiagram:
         self.composition = comp
         self.n = sum(comp)
         self.s = len(comp)
-        sums = [0]
-        for p in comp:
-            sums.append(sums[-1] + p)
+        sums = [0, *itertools.accumulate(comp)]
         n = self.n
         # v_0 = (0, n) down to v_s = (n, 0); the degenerate diagram keeps the
         # origin as its single (terminal) vertex.
@@ -196,11 +195,8 @@ class DiagramFace:
     def vertex_indices(self):
         if self.diagram.n == 0:
             return {self.diagram.origin_index}
-        vs = set()
-        for e in self.edge_indices():
-            vs.add(self.diagram.edge_tails[e])
-            vs.add(self.diagram.edge_heads[e])
-        return vs
+        d = self.diagram
+        return {v for e in self.edge_indices() for v in (d.edge_tails[e], d.edge_heads[e])}
 
     def is_full(self):
         return self.mask == self.diagram.full_mask
@@ -302,9 +298,8 @@ def is_face_local(diagram, mask):
         raise ValueError("edge subset uses bits outside the diagram")
     if diagram.n == 0:
         return mask == 0
-    for tmask in diagram.terminal_in_masks:
-        if not mask & tmask:
-            return False
+    if not _covers_terminals(diagram, mask):
+        return False
     extremal = set(diagram.terminal_indices)
     extremal.add(diagram.origin_index)
     for v in range(len(diagram.vertices)):
@@ -611,11 +606,9 @@ def compositions_with_edge_bound(max_edges):
 
     Finite because the two boundary axes alone contribute 2n edges.
     """
-    out = []
-    n = 1
-    while 2 * n <= max_edges:
-        for comp in compositions_of(n):
-            if _edge_count(comp) <= max_edges:
-                out.append(comp)
-        n += 1
-    return out
+    return [
+        comp
+        for n in range(1, max_edges // 2 + 1)
+        for comp in compositions_of(n)
+        if _edge_count(comp) <= max_edges
+    ]

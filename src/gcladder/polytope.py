@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from itertools import groupby, product
+from math import gcd, lcm
 
 import numpy as np
 
@@ -59,16 +59,8 @@ class Spectrum:
                     "spectrum must be weakly decreasing, got "
                     + ", ".join(str(v) for v in vals)
                 )
-        comp = []
-        prev = None
-        for v in vals:
-            if comp and v == prev:
-                comp[-1] += 1
-            else:
-                comp.append(1)
-            prev = v
         self.values = vals
-        self.composition = tuple(comp)
+        self.composition = tuple(len(list(block)) for _, block in groupby(vals))
 
     @classmethod
     def parse(cls, text):
@@ -108,10 +100,7 @@ def canonical_spectrum(k):
     """Integer spectrum with block i at value n - i; distinct block values."""
     comp = tuple(int(p) for p in k if p > 0)
     n = sum(comp)
-    values = []
-    for i, part in enumerate(comp, start=1):
-        values.extend([n - i] * part)
-    return Spectrum(values)
+    return Spectrum([n - i for i, part in enumerate(comp, start=1) for _ in range(part)])
 
 
 @dataclass(frozen=True)
@@ -341,12 +330,7 @@ class PolytopeFace:
     def representative(self):
         """Average of the face's vertices: a relative-interior point."""
         pts = self.vertices()
-        if not pts:
-            return None
-        count = len(pts)
-        return tuple(
-            sum(p[c] for p in pts) / Fraction(count) for c in range(self.system.d)
-        )
+        return tuple(sum(c) / Fraction(len(pts)) for c in zip(*pts)) if pts else None
 
     def __eq__(self, other):
         if not isinstance(other, PolytopeFace):
@@ -368,6 +352,28 @@ def _byte_rows(masks):
     return np.frombuffer(data, np.uint8).reshape(len(masks), size)
 
 
+def _tight_dims(sys, tight):
+    """Dimension of the affine space cut out by each row of ``tight`` (a
+    boolean array with one row per face and one column per constraint):
+    d minus the rank of the tight constraints' rows, that is the
+    components, less one, of the graph on the coordinates and a ground
+    node d with an edge between the coordinates a, b of each tight
+    constraint.
+
+    Union-find on all rows at once: each node is labelled by the smallest
+    node of its component, so a component has one node that is its label.
+    Labels take the smallest dtype that holds d: one byte up to n = 23.
+    """
+    nodes = np.arange(sys.d + 1, dtype=np.min_scalar_type(sys.d))
+    labels = np.empty((len(tight), sys.d + 1), nodes.dtype)
+    labels[:] = nodes
+    for c, con in enumerate(sys.constraints):
+        low = np.minimum(labels[:, con.a], labels[:, con.b])[:, None]
+        high = np.maximum(labels[:, con.a], labels[:, con.b])[:, None]
+        np.copyto(labels, low, where=tight[:, c, None] & (labels == high))
+    return (labels == nodes).sum(axis=1, dtype=np.int64) - 1
+
+
 def face_lattice(sys):
     """Every face of the polytope (including the empty face and the
     polytope itself), sorted by vertex mask.
@@ -377,9 +383,8 @@ def face_lattice(sys):
     for the constraints tight on all of it, and an intersection of faces is
     a face.  So the vertex sets are all ANDs of constraints' vertex sets.
     The constraints tight on all vertices of a nonempty face cut out its
-    affine hull, so its dimension is d minus the rank of their rows: the
-    components, less one, of the graph on the coordinates and a ground
-    node d with an edge between the coordinates a, b of each tight constraint.
+    affine hull, so its dimension is d minus the rank of their rows
+    (``_tight_dims``).
     """
     if sys._faces is not None:
         return sys._faces
@@ -397,16 +402,7 @@ def face_lattice(sys):
     tight[1:] = np.bitwise_and.reduceat(
         vertex_tight[incidence.nonzero()[1]], sizes.cumsum() - sizes
     )
-    # Union-find on all faces at once: each node is labelled by the smallest
-    # node of its component, so a component has one node that is its label.
-    labels = np.empty((len(masks), sys.d + 1), np.int64)
-    labels[:] = np.arange(sys.d + 1)
-    joins = tight[:, None] >> np.arange(sys.num_constraints) & 1 == 1
-    for c, con in enumerate(sys.constraints):
-        low = np.minimum(labels[:, con.a], labels[:, con.b])[:, None]
-        high = np.maximum(labels[:, con.a], labels[:, con.b])[:, None]
-        np.copyto(labels, low, where=joins[:, c, None] & (labels == high))
-    dims = (labels == np.arange(sys.d + 1)).sum(axis=1) - 1
+    dims = _tight_dims(sys, tight[:, None] >> np.arange(sys.num_constraints) & 1 == 1)
     dims[0] = -1  # the empty face
     faces = [
         PolytopeFace(sys, vm, t, dim)
@@ -498,61 +494,112 @@ def psi(diagram, face, system):
     return system._face_of[vmask]
 
 
-def representative_point(face, spectrum):
-    """Rational point in the relative interior of the polytope face matching
-    a diagram face, built by averaging inward over anti-diagonals.
+# Faces per chunk of the witness check: bounds its working arrays, which
+# peak at about 270 bytes a face at n = 6.
+_CHUNK = 1 << 18
 
-    Returns {(i, j): value} covering the free entries and the fixed
-    boundary row (i + j = n + 1).
+
+def _witness(sys, masks):
+    """The witness points of the diagram faces with these edge masks:
+    x_{i,j} is x_{i,j+1} if the face lacks the horizontal edge into (i, j),
+    else x_{i+1,j} if it lacks the vertical one, else their mean.
+
+    Returns {(i, j): int64 column} over the free entries and the top row,
+    times 2^n times the lcm of the spectrum's denominators; that scale; and
+    whether each mask holds each constraint's paired edge (boolean).
     """
-    diagram = face.diagram
+    n, d, values = sys.n, sys.d, sys.spectrum.values
+    scale = (1 << n) * lcm(*(v.denominator for v in values))
+    top = [v.numerator * (scale // v.denominator) for v in values]
+    if max(map(abs, top)) >= 1 << 62:  # the sum of two must fit in int64
+        raise ValueError(
+            f"witness points need |lambda_i| * 2^n * lcm(denominators) below "
+            f"2^62; here the scale is {scale}"
+        )
+    present = masks[:, None] & np.array(edge_bits(sys), np.int64) != 0
+    x = {
+        (i, n + 1 - i): np.broadcast_to(np.int64(v), len(masks)) for i, v in enumerate(top, 1)
+    }
+    # By decreasing i + j, so that both neighbours of (i, j) come first.
+    for t, (i, j) in sorted(enumerate(sys.index_set), key=lambda tp: -sum(tp[1])):
+        above, below = x[i, j + 1], x[i + 1, j]
+        mean = np.where(present[:, d + t], (above + below) >> 1, below)
+        x[i, j] = np.where(present[:, t], mean, above)
+    return x, scale, present
+
+
+def _witness_signs(sys, masks):
+    """Sign of each constraint at each mask's witness point (int8), and the
+    presence array of ``_witness``.  The witness test accepts a mask where
+    the two agree: the point is feasible, and strict exactly where the
+    mask holds the paired edge."""
+    x, _, present = _witness(sys, masks)
+    signs = np.empty(present.shape, np.int8)
+    for t, (i, j) in enumerate(sys.index_set):
+        signs[:, t] = np.sign(x[i, j + 1] - x[i, j])
+        signs[:, sys.d + t] = np.sign(x[i, j] - x[i + 1, j])
+    return signs, present
+
+
+def representative_point(face, spectrum):
+    """A diagram face's witness point, {(i, j): Fraction} over the free
+    entries and the top row: a point in the relative interior of the
+    matching polytope face."""
+    if spectrum.composition != face.diagram.composition:
+        raise ValueError("spectrum and face compositions differ")
+    x, scale, _ = _witness(GCSystem(spectrum), np.array([face.mask], np.int64))
+    return {p: Fraction(int(column[0]), scale) for p, column in x.items()}
+
+
+def witness_violations(faces, spectrum):
+    """Check the witness point of every face of a ``FaceSet``.
+
+    The masks must increase strictly, each holding the axes (which pair
+    with no constraint) and no bit past the diagram's edges.  Each witness
+    point must be feasible and strict exactly where the face holds the
+    paired edge.  Then its tight set is T, the constraints of the absent
+    edges, and its face has dimension d - rank(T) (``_tight_dims``), which
+    must equal the face set's.  The faces go in chunks of ``_CHUNK`` up to
+    the first chunk that fails.  Returns one message per failing check,
+    naming its first offender by face index, hex mask and grid position;
+    empty means pass.
+    """
+    diagram = faces.diagram
     if spectrum.composition != diagram.composition:
         raise ValueError("spectrum and face compositions differ")
-    n = spectrum.n
-    values = {}
-    for i in range(1, n + 1):
-        values[(i, n + 1 - i)] = spectrum.values[i - 1]
-    for level in range(n, 1, -1):
-        for i in range(1, level):
-            j = level - i
-            h_in = face.mask & diagram.edge_bit((i - 1, j), (i, j))
-            v_in = face.mask & diagram.edge_bit((i, j - 1), (i, j))
-            if not h_in:
-                values[(i, j)] = values[(i, j + 1)]
-            elif not v_in:
-                values[(i, j)] = values[(i + 1, j)]
-            else:
-                values[(i, j)] = (values[(i, j + 1)] + values[(i + 1, j)]) / 2
-    return values
+    sys = GCSystem(spectrum)
+    masks = faces.masks
 
+    def named(f):
+        return f"face #{f} (0x{hex_mask(diagram, int(masks[f]))})"
 
-def representative_strictness(face, spectrum):
-    """Check the exact strictness pattern of the representative point:
-    strict inequality at a constraint iff the paired edge is in the face.
-    Returns a list of violation descriptions (empty = pass)."""
-    diagram = face.diagram
-    values = representative_point(face, spectrum)
-    n = spectrum.n
-    bad = []
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            here = values[(i, j)]
-            up = values[(i, j + 1)]
-            down = values[(i + 1, j)]
-            if up < here or here < down:
-                bad.append(f"point infeasible at {(i, j)}")
-                continue
-            h_in = bool(face.mask & diagram.edge_bit((i - 1, j), (i, j)))
-            v_in = bool(face.mask & diagram.edge_bit((i, j - 1), (i, j)))
-            if h_in != (here < up):
-                bad.append(
-                    f"horizontal edge into {(i, j)}: present={h_in} strict={here < up}"
-                )
-            if v_in != (here > down):
-                bad.append(
-                    f"vertical edge into {(i, j)}: present={v_in} strict={here > down}"
-                )
-    return bad
+    problems = []
+    unsorted = np.flatnonzero(masks[1:] <= masks[:-1])
+    if unsorted.size:
+        problems.append(f"{named(unsorted[0] + 1)} does not follow a smaller mask")
+    edges = np.int64(diagram.full_mask)
+    stray = np.flatnonzero((masks | np.int64(diagram.axes_mask)) & edges != masks)
+    if stray.size:
+        problems.append(f"{named(stray[0])} lacks an axis edge or has a bit past the edges")
+    for lo in range(0, len(masks), _CHUNK):
+        signs, present = _witness_signs(sys, masks[lo : lo + _CHUNK])
+        mismatch = signs != present
+        if mismatch.any():
+            f, c = np.unravel_index(mismatch.argmax(), mismatch.shape)
+            con, strict = sys.constraints[c], bool(signs[f, c] > 0)
+            side = "horizontal" if con.kind == "up" else "vertical"
+            what = f"{side} edge into {(con.i, con.j)}: present={not strict} strict={strict}"
+            if signs[f, c] < 0:
+                what = f"point infeasible at {(con.i, con.j)}"
+            problems.append(f"{named(lo + f)}: {what}")
+        dims = _tight_dims(sys, ~present)
+        wrong = np.flatnonzero(dims != faces.dims[lo : lo + _CHUNK])
+        if wrong.size:
+            f, rank_dim = lo + wrong[0], dims[wrong[0]]
+            problems.append(f"{named(f)}: dimension {faces.dims[f]}, {rank_dim} by tight rank")
+        if problems:
+            break
+    return problems
 
 
 @dataclass(frozen=True)

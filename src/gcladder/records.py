@@ -10,7 +10,7 @@ values survive JSON.  ``dumps`` produces byte-deterministic output.
 import json
 
 from .genfunc import f_polynomial
-from .ladder import DiagramFace, build_diagram, is_face
+from .ladder import DiagramFace, build_diagram, compositions_of, is_face
 
 FACE_FORMAT = "gcladder/face"
 FACE_LIST_FORMAT = "gcladder/faces"
@@ -122,17 +122,11 @@ def iso_report_record(report):
 
 def golden_payload(max_n):
     """f-vectors of every composition with total at most max_n."""
-    from .ladder import compositions_of
-
-    entries = []
-    for n in range(1, max_n + 1):
-        for comp in compositions_of(n):
-            entries.append(
-                {
-                    "composition": list(comp),
-                    "coefficients": [str(c) for c in f_polynomial(comp).coeffs],
-                }
-            )
+    entries = [
+        {"composition": list(k), "coefficients": [str(c) for c in f_polynomial(k).coeffs]}
+        for n in range(1, max_n + 1)
+        for k in compositions_of(n)
+    ]
     return {
         "format": GOLDEN_FORMAT,
         "version": VERSION,

@@ -72,12 +72,7 @@ def interleave(x, y):
     """(x_1, y_1, x_2, y_2, ..., y_{s-1}, x_s) for len(y) == len(x) - 1."""
     if len(y) != len(x) - 1:
         raise ValueError(f"cannot interleave lengths {len(x)} and {len(y)}")
-    out = []
-    for i in range(len(y)):
-        out.append(x[i])
-        out.append(y[i])
-    out.append(x[-1])
-    return tuple(out)
+    return (*(v for pair in zip(x, y) for v in pair), x[-1])
 
 
 def letter_step(part, beta, letter):

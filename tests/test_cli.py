@@ -228,11 +228,25 @@ GOLDEN_N20 = str(ROOT / "tests" / "data" / "golden_entry_n20.json")
         (["verify", "iso", "--lambda", "1/0"], "zero denominator in '1/0'"),
         (["verify", "iso"], "requires --lambda"),
         (["fvector", "--k", "1,1", "--golden", "missing.json"], "missing.json"),
-        (["fvector", "--k", "1,1", "--golden", NOT_GOLDEN], NOT_GOLDEN),
-        (["fvector", "--k", "1,1", "--golden", WRONG_FORMAT], WRONG_FORMAT),
+        # the message names the file by its path: explicit ids keep the
+        # test ids the same in every checkout
+        pytest.param(
+            ["fvector", "--k", "1,1", "--golden", NOT_GOLDEN], NOT_GOLDEN,
+            id="fvector-golden-not-json",
+        ),
+        pytest.param(
+            ["fvector", "--k", "1,1", "--golden", WRONG_FORMAT], WRONG_FORMAT,
+            id="fvector-golden-wrong-format",
+        ),
         (["verify", "oracle", "--golden", "missing.json"], "missing.json"),
-        (["verify", "oracle", "--golden", NOT_GOLDEN], NOT_GOLDEN),
-        (["verify", "oracle", "--golden", WRONG_FORMAT], WRONG_FORMAT),
+        pytest.param(
+            ["verify", "oracle", "--golden", NOT_GOLDEN], NOT_GOLDEN,
+            id="oracle-golden-not-json",
+        ),
+        pytest.param(
+            ["verify", "oracle", "--golden", WRONG_FORMAT], WRONG_FORMAT,
+            id="oracle-golden-wrong-format",
+        ),
         (["verify", "all", "--s", "0"], "s must be positive"),
         (["verify", "all", "--degree", "0"], "truncation degree must be at least s"),
         (["verify", "gkt", "--s", "3", "--degree", "2"], "truncation degree"),

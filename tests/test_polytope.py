@@ -1,7 +1,8 @@
+import inspect
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from gcladder.ladder import (
     BOTTOM,
     DiagramFace,
     FaceSet,
+    brute_force_faces,
     build_diagram,
     compositions_of,
+    compositions_with_edge_bound,
     enumerate_faces,
     is_face,
 )
@@ -32,8 +35,8 @@ from gcladder.polytope import (
     polytope_vertices,
     psi,
     representative_point,
-    representative_strictness,
     verify_isomorphism,
+    witness_violations,
 )
 
 
@@ -58,6 +61,22 @@ def sixths_spectrum(comp):
 
 def compositions_up_to(n):
     return [comp for m in range(1, n + 1) for comp in compositions_of(m)]
+
+
+def only_face(faces, k):
+    """The face set holding face k of ``faces`` alone."""
+    k = range(len(faces))[k]
+    return FaceSet(faces.diagram, faces.masks[k : k + 1], faces.dims[k : k + 1])
+
+
+def mutated(name, old, new):
+    """The polytope function ``name`` recompiled with one fragment of its
+    source replaced, in a copy of the module's namespace."""
+    source = inspect.getsource(getattr(polytope, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(polytope))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
 
 
 # References: the dense Fraction row of each constraint, the
@@ -494,13 +513,12 @@ class TestRepresentativePoint:
         pt = representative_point(full, sp)
         ordered = [pt[(1, 1)], pt[(1, 2)], pt[(2, 1)]]
         assert len(set(ordered)) == 3
-        assert representative_strictness(full, sp) == []
+        assert witness_violations(only_face(enumerate_faces(d), -1), sp) == []
 
     @pytest.mark.parametrize("comp", [(1, 1), (2, 1), (1, 1, 1), (2, 2)])
     def test_strictness_iff_edges(self, comp):
         sp = canonical_spectrum(comp)
-        for face in enumerate_faces(build_diagram(comp)):
-            assert representative_strictness(face, sp) == []
+        assert witness_violations(enumerate_faces(build_diagram(comp)), sp) == []
 
     @pytest.mark.parametrize(
         "shift, violation",
@@ -511,16 +529,19 @@ class TestRepresentativePoint:
     )
     def test_strictness_reports_a_moved_entry(self, monkeypatch, shift, violation):
         # (1, 1) of the top face moves onto its neighbour (1, 2), or past it.
-        original = polytope.representative_point
+        original = polytope._witness
 
-        def moved(face, spectrum):
-            values = original(face, spectrum)
-            values[(1, 1)] = values[(1, 2)] + shift
-            return values
+        def moved(sys, masks):
+            x, scale, present = original(sys, masks)
+            x[1, 1] = x[1, 2] + shift
+            return x, scale, present
 
-        monkeypatch.setattr(polytope, "representative_point", moved)
-        d = build_diagram((1, 1, 1))
-        assert representative_strictness(DiagramFace(d, d.full_mask), Spectrum((2, 1, 0))) == [violation]
+        monkeypatch.setattr(polytope, "_witness", moved)
+        faces = enumerate_faces(build_diagram((1, 1, 1)))
+        top = len(faces) - 1
+        assert witness_violations(only_face(faces, top), Spectrum((2, 1, 0))) == [
+            f"face #0 (0x{faces[top].mask:03x}): {violation}"
+        ]
 
     def test_integral_spectrum_gives_dyadic_coordinates(self):
         # repeated halving of integer boundary values
@@ -545,6 +566,100 @@ class TestRepresentativePoint:
                 assert val >= 0
                 if target.tight_mask >> idx & 1:
                     assert val == 0
+
+
+class TestWitnessCheck:
+    @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum, sixths_spectrum])
+    def test_every_face_up_to_n5(self, spectrum_of):
+        for comp in compositions_up_to(5):
+            faces = enumerate_faces(build_diagram(comp))
+            assert witness_violations(faces, spectrum_of(comp)) == [], comp
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("_witness", "edge_bits(sys)", "edge_bits(sys)[sys.d:] + edge_bits(sys)[:sys.d]"),
+            ("_witness", "above, below = ", "below, above = "),
+            (
+                "_tight_dims",
+                "where=tight[:, c, None]",
+                "where=tight[:, c, None] & (sys.d not in (con.a, con.b))",
+            ),
+        ],
+        ids=["swapped-pairing", "wrong-side", "no-ground-node"],
+    )
+    def test_mutation_fails(self, monkeypatch, name, old, new):
+        monkeypatch.setattr(polytope, name, mutated(name, old, new))
+        assert any(
+            witness_violations(enumerate_faces(build_diagram(comp)), canonical_spectrum(comp))
+            for comp in compositions_up_to(4)
+        )
+
+    def test_every_flipped_bit_fails(self):
+        # A flip onto another face's mask passes the point checks; only the
+        # order of the masks and the dimension catch it.
+        landed = 0
+        for comp in compositions_up_to(3):
+            faces = enumerate_faces(build_diagram(comp))
+            sp = canonical_spectrum(comp)
+            for k, e in product(range(len(faces)), range(faces.diagram.num_edges)):
+                masks = faces.masks.copy()
+                masks[k] ^= 1 << e
+                problems = witness_violations(FaceSet(faces.diagram, masks, faces.dims), sp)
+                assert problems, (comp, k, e)
+                if masks[k] in faces.masks:
+                    landed += 1
+                    assert "does not follow a smaller mask" in problems[0]
+        assert landed
+
+    def test_accepts_exactly_the_brute_force_faces(self):
+        comps = compositions_with_edge_bound(22)
+        assert len(comps) == 28
+        for comp in comps:
+            diagram = build_diagram(comp)
+            free = [e for e in range(diagram.num_edges) if not diagram.axes_mask >> e & 1]
+            index = np.arange(1 << len(free), dtype=np.int64)
+            subsets = np.full(index.shape, diagram.axes_mask, np.int64)
+            for p, e in enumerate(free):
+                subsets |= (index >> p & 1) << e
+            subsets.sort()
+            signs, present = polytope._witness_signs(GCSystem(canonical_spectrum(comp)), subsets)
+            accepted = subsets[(signs == present).all(axis=1)]
+            assert np.array_equal(accepted, brute_force_faces(diagram).masks), comp
+
+    @pytest.mark.parametrize("comp", [(20,), (31,), (12, 1)])
+    def test_large_n(self, comp):
+        # (20,) and (31,) have d = 190 and 465 coordinates, past one-byte
+        # signed union-find labels; (12, 1) has 8,191 faces at n = 13
+        faces = enumerate_faces(build_diagram(comp))
+        assert witness_violations(faces, canonical_spectrum(comp)) == []
+
+    def test_chunks_name_the_global_offender(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_CHUNK", 7)
+        comp = (1, 1, 1, 1)
+        faces = enumerate_faces(build_diagram(comp))
+        assert witness_violations(faces, canonical_spectrum(comp)) == []
+        dims = faces.dims.copy()
+        dims[100] += 1
+        problems = witness_violations(FaceSet(faces.diagram, faces.masks, dims), canonical_spectrum(comp))
+        assert len(problems) == 1 and problems[0].startswith("face #100 ")
+
+    def test_refuses_spectra_that_overflow(self):
+        d = build_diagram((1, 1))
+        faces = enumerate_faces(d)
+        # 2^n * lcm = 4: 4 * (2^60 - 1) is the largest value below 2^62
+        assert witness_violations(faces, Spectrum((2**60 - 1, 0))) == []
+        assert witness_violations(faces, Spectrum((0, -(2**60) + 1))) == []
+        for values in [(2**60, 0), (0, -(2**60)), (Fraction(2**60, 3), 0)]:
+            with pytest.raises(ValueError, match=r"below 2\^62"):
+                witness_violations(faces, Spectrum(values))
+            with pytest.raises(ValueError, match=r"below 2\^62"):
+                representative_point(faces[0], Spectrum(values))
+
+    def test_rejects_mismatched_composition(self):
+        faces = enumerate_faces(build_diagram((1, 1)))
+        with pytest.raises(ValueError, match="compositions differ"):
+            witness_violations(faces, Spectrum((1, 1)))
 
 
 class TestIsomorphism:
