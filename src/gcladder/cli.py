@@ -380,8 +380,15 @@ def build_parser():
     return parser
 
 
+# Built once per process: a parse leaves the parser as it was, and
+# building one costs about 1 ms.  So argument defaults such as
+# DEFAULT_DEGREE, and the cmd_* functions, are read here, at import;
+# build_parser() reads them again.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

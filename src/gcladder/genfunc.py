@@ -567,11 +567,14 @@ def check_transform_round_trip(max_s, max_part):
     """r_w(d_w(k) + 1) == k for every word and every k with bounded parts.
 
     Each transform runs once per word on the whole grid of k, passed as one
-    integer column per part; failures come back in word-then-k order.
+    integer column per part; failures come back in word-then-k order.  The
+    values run from -2 to max_part + 2, so the grid takes the smallest
+    signed dtype that holds -(max_part + 3): the work goes with the bytes.
     """
+    dtype = np.min_scalar_type(-(max_part + 3))
     bad = []
     for s in range(1, max_s + 1):
-        grid = np.indices((max_part + 1,) * s).reshape(s, -1)
+        grid = np.indices((max_part + 1,) * s, dtype=dtype).reshape(s, -1)
         k = tuple(grid)
         for w in all_words(s - 1):
             d = d_transform(k, w)

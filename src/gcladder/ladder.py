@@ -48,6 +48,11 @@ from .words import all_words, child_composition, reduce_composition, word_weight
 MAX_FREE_EDGES = 26
 # Face bit vectors ride in signed 64-bit arrays during enumeration.
 _MAX_MASK_BITS = 62
+# Most faces in one table of the array enumerator.  A table peaks at about
+# 30 bytes a face while it is sorted, so this bound is about 600 MB; it
+# admits the 38 compositions of 7 with at most 20M faces, and refuses
+# (1,)*7 (2,605,486,753 faces) before allocating.
+MAX_FACES = 20_000_000
 
 
 class LadderDiagram:
@@ -420,6 +425,11 @@ def _sub_faces(d, comp, tables):
     # (merging) argsort finds.
     branches.sort(key=operator.itemgetter(0))
     size = sum(len(b[1]) for b in branches)
+    if size > MAX_FACES:
+        raise ValueError(
+            f"composition {comp} has {size} faces; array enumeration is capped "
+            f"at {MAX_FACES} faces"
+        )
     masks = np.empty(size, dtype=np.int64)
     dims = np.empty(size, dtype=np.int16)
     lo = 0
@@ -588,27 +598,31 @@ def _edge_count(comp):
     Column 0 holds n + 1 vertices and each of the p_i columns of block i
     holds n - s_i + 1, where s_i is the partial sum ending with block i.
     The diagram is connected, so its edges are the vertices less one plus
-    the cycle rank, which is sum_{i<j} p_i p_j = (n^2 - sum p_i^2) / 2.
+    the cycle rank (n^2 - sum p_i^2) / 2, which comes to
+    2n + n^2 - sum p_i^2.
     """
     n = sum(comp)
-    if n == 0:
-        return 0
-    n_vertices = n + 1
-    s = 0
-    for p in comp:
-        s += p
-        n_vertices += p * (n - s + 1)
-    return n_vertices - 1 + (n * n - sum(p * p for p in comp)) // 2
+    return 2 * n + n * n - sum(p * p for p in comp)
 
 
 def compositions_with_edge_bound(max_edges):
-    """Every composition whose diagram has at most ``max_edges`` edges.
+    """Every composition whose diagram has at most ``max_edges`` edges, by
+    increasing n, each n in lexicographic order.
 
+    The edge count is 2n + 2 sum_{i<j} p_i p_j (``_edge_count``), and a
+    part q after a prefix of sum S adds S q to that sum.  Parts of total r
+    after a prefix of sum S add at least S r, as one part would, so a
+    prefix is dropped as soon as its least completion is over the bound.
     Finite because the two boundary axes alone contribute 2n edges.
     """
-    return [
-        comp
-        for n in range(1, max_edges // 2 + 1)
-        for comp in compositions_of(n)
-        if _edge_count(comp) <= max_edges
-    ]
+
+    def extend(prefix, total, cross, n):
+        if total == n:
+            yield prefix
+            return
+        for q in range(1, n - total + 1):
+            least = cross + total * q + (total + q) * (n - total - q)
+            if 2 * (n + least) <= max_edges:
+                yield from extend(prefix + (q,), total + q, cross + total * q, n)
+
+    return [comp for n in range(1, max_edges // 2 + 1) for comp in extend((), 0, 0, n)]

@@ -297,12 +297,13 @@ def polytope_vertices(sys):
             f"polyhedral oracle is capped at n <= {MAX_ORACLE_N}; got n = {sys.n}"
         )
     t_row = (0,) * sys.d + (1,)
-    found = sorted(
-        (tuple(Fraction(a, v[-1]) for a in v[:-1]), tight)
-        for v, tight in _extreme_rays(sys.rows + (t_row,), sys.d + 1)
-    )
-    sys._vertices = tuple(point for point, _ in found)
-    sys._vertex_tight = tuple(tight for _, tight in found)
+    rays = _extreme_rays(sys.rows + (t_row,), sys.d + 1)
+    # Scaled by one common t, the points sort as integers, in the order of
+    # their Fraction forms; each of those is then built once.
+    common = lcm(*(v[-1] for v, _ in rays))
+    rays.sort(key=lambda ray: tuple(a * (common // ray[0][-1]) for a in ray[0][:-1]))
+    sys._vertices = tuple(tuple(Fraction(a, v[-1]) for a in v[:-1]) for v, _ in rays)
+    sys._vertex_tight = tuple(tight for _, tight in rays)
     holders = _holders(sys._vertex_tight)
     sys._vertex_sets = tuple(holders.get(c, 0) for c in range(sys.num_constraints))
     return sys._vertices
@@ -444,10 +445,10 @@ def _face_images(sys, tight_masks):
             f"edge outside the diagram"
         )
     diagram = build_diagram(sys.spectrum.composition)
-    images = np.full(tight_masks.shape, diagram.axes_mask, dtype=np.int64)
-    for c, bit in enumerate(bits):
-        images |= np.where(tight_masks >> c & 1, 0, bit)
-    return images
+    # One (faces x constraints) array: the bit of each non-tight constraint.
+    c = np.arange(len(bits), dtype=np.int64)
+    kept = np.where(tight_masks[:, None] >> c & 1, 0, np.array(bits, np.int64))
+    return np.bitwise_or.reduce(kept, axis=1) | np.int64(diagram.axes_mask)
 
 
 def _preimages(sys, masks):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -361,3 +364,53 @@ def test_verify_all_json_deterministic(capsys):
     assert code1 == code2 == 0
     assert first == second
     assert json.loads(first)["pass"] is True
+
+
+# Runs cli.main on each argv of a JSON list in turn, in one process, and
+# prints each call's exit code, stdout and stderr as JSON.
+CALLS_IN_TURN = """
+import contextlib, io, json, sys
+from gcladder.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def calls_in_one_process(*argvs):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CALLS_IN_TURN, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_shared_parser_keeps_calls_independent():
+    # main parses with one parser built at import: each call made after
+    # others in one process prints what it prints as a process's first call
+    calls = [
+        ["verify", "iso", "--lambda", "2,1,0", "--max-n", "3"],
+        ["verify", "all", "--format", "json"],
+        ["faces", "--k", "2,1", "--decompose"],
+        ["faces", "--k", "2,1"],
+        ["fvector", "--k", "3,2", "--golden", NOT_GOLDEN],
+        ["fvector", "--k", "3,2"],
+    ]
+    in_turn = calls_in_one_process(*calls)
+    assert [code for code, _, _ in in_turn] == [0, 0, 0, 0, 2, 0]
+    expected = (ROOT / "perfbench" / "expected" / "verify_all.json").read_text()
+    assert in_turn[1] == [0, expected, ""]
+    for argv, result in zip(calls, in_turn):
+        if argv[:2] != ["verify", "all"]:
+            assert calls_in_one_process(argv) == [result], argv

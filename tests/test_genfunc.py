@@ -525,3 +525,22 @@ def test_transform_round_trip_reports_like_a_per_k_scan(monkeypatch):
     ]
     assert len(want) == sum(3 ** (s - 1) * 4 ** (s - 1) for s in range(1, 4))
     assert check_transform_round_trip(3, 3) == want
+
+
+def test_transform_round_trip_past_int8(monkeypatch):
+    # values reach max_part + 2 = 132, past int8; an int8 grid would wrap
+    # k_1 = 129 to -127 and still close every round trip, silently
+    assert check_transform_round_trip(2, 130) == []
+
+    def broken(k, w):
+        return tuple(x + (i == 0) * (k[0] == 129) for i, x in enumerate(words.d_transform(k, w)))
+
+    monkeypatch.setattr(genfunc, "d_transform", broken)
+    want = [
+        (s, w, k)
+        for s in (1, 2)
+        for w in all_words(s - 1)
+        for k in product(range(131), repeat=s)
+        if k[0] == 129
+    ]
+    assert check_transform_round_trip(2, 130) == want

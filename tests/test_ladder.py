@@ -293,6 +293,22 @@ def test_array_enumeration_refuses_before_recursing(monkeypatch):
         enumerate_faces(d)
 
 
+def test_array_enumeration_refuses_past_its_face_bound():
+    # (1,)*7 fits the 62-bit masks, but its table would hold 2,605,486,753
+    # faces: refused once its children (n = 6) are built, before allocating
+    with pytest.raises(ValueError) as exc:
+        enumerate_faces(build_diagram((1,) * 7))
+    assert str(exc.value) == (
+        f"composition {(1,) * 7} has 2605486753 faces; array enumeration is "
+        f"capped at {ladder.MAX_FACES} faces"
+    )
+    assert ladder.MAX_FACES >= 20_000_000
+    try:
+        assert len(enumerate_faces(build_diagram((1,) * 6))) == 5791311
+    finally:
+        clear_caches()
+
+
 def test_gadget_mask_matches_edge_bits_and_raises_on_missing_edges():
     for n in range(1, 5):
         for comp in compositions_of(n):
@@ -590,11 +606,21 @@ def test_edge_bound_composition_list():
     assert (3, 2) not in comps
     for comp in comps:
         assert diagram_edge_count(comp) == build_diagram(comp).num_edges <= 20
-    # the closed form against the built diagrams, zero parts included
+    # the closed form (``_edge_count``) against the built diagrams, zero
+    # parts included
     for n in range(9):
         for comp in compositions_of(n):
             assert diagram_edge_count(comp) == build_diagram(comp).num_edges, comp
     assert diagram_edge_count((0, 2, 0, 1)) == build_diagram((2, 1)).num_edges
+
+
+def test_pruned_edge_bound_matches_the_filter():
+    # the plain filter over all compositions that the pruned generator
+    # replaced, for every bound up to 30 edges (n <= 15, since 2n <= edges)
+    counted = [(c, diagram_edge_count(c)) for n in range(1, 16) for c in compositions_of(n)]
+    for bound in range(-1, 31):
+        want = [c for c, edges in counted if edges <= bound]
+        assert compositions_with_edge_bound(bound) == want, bound
 
 
 def test_census_matches_polynomial_up_to_n6():

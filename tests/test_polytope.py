@@ -357,6 +357,19 @@ class TestSystem:
                 for con, row in zip(sys.constraints, dense):
                     assert con.value_at(point) == dense_value(row, point), comp
 
+    @pytest.mark.parametrize("shift", [0, -1], ids=["sixths", "negative"])
+    def test_vertices_are_sorted_fraction_tuples(self, shift):
+        # the vertices sort on integers scaled to one common t; read back
+        # as Fractions they must sort the same, each with its own tight mask
+        for comp in compositions_up_to(4):
+            sys = build_system(Spectrum([v + shift for v in sixths_spectrum(comp).values]))
+            verts = polytope_vertices(sys)
+            assert all(type(x) is Fraction for point in verts for x in point), comp
+            assert list(verts) == sorted(set(verts)), comp
+            for point, tight in zip(verts, sys._vertex_tight):
+                zero = [con.value_at(point) == 0 for con in sys.constraints]
+                assert tight == sum(1 << c for c, z in enumerate(zero) if z), comp
+
     @pytest.mark.parametrize("spectrum_of", [canonical_spectrum, halved_spectrum])
     def test_vertices_match_subsystem_scan(self, spectrum_of):
         comps = compositions_up_to(3) + [(1, 1, 1, 1)]
