@@ -23,7 +23,6 @@ from .genfunc import (
     verify_vertex_pde,
 )
 from .ladder import (
-    DiagramFace,
     assignment_of_face,
     brute_force_faces,
     build_diagram,
@@ -150,10 +149,10 @@ def cmd_faces(args):
     print(f"composition: ({', '.join(str(p) for p in diagram.composition)})")
     print(f"edges: {diagram.num_edges}")
     print(f"faces: {len(faces)}")
-    for mask, dim in zip(faces.masks.tolist(), faces.dims.tolist()):
-        line = f"  dim {dim}  edges 0x{records.hex_mask(diagram, mask)}"
+    for face in faces:
+        line = f"  dim {face.dim}  edges 0x{records.hex_mask(diagram, face.mask)}"
         if decompose:
-            word, child = _decomposition(DiagramFace(diagram, mask, dim))
+            word, child = _decomposition(face)
             word_str = "".join(_WORD_LETTER[letter] for letter in word) or "-"
             line += f"  word {word_str}  child ({', '.join(map(str, child))})"
         print(line)

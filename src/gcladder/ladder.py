@@ -49,10 +49,15 @@ MAX_FREE_EDGES = 26
 # Face bit vectors ride in signed 64-bit arrays during enumeration.
 _MAX_MASK_BITS = 62
 # Most faces in one table of the array enumerator.  A table peaks at about
-# 30 bytes a face while it is sorted, so this bound is about 600 MB; it
-# admits the 38 compositions of 7 with at most 20M faces, and refuses
-# (1,)*7 (2,605,486,753 faces) before allocating.
+# 24 bytes a face while it is sorted (masks, sort order and sort buffer), so
+# this bound is about 480 MB; it admits the 38 compositions of 7 with at
+# most 20M faces, and refuses (1,)*7 (2,605,486,753 faces) before
+# allocating.
 MAX_FACES = 20_000_000
+# Faces per slice when a face table is gathered or iterated: large enough
+# that the per-slice overhead vanishes, small enough that one slice's Python
+# ints take about 3 MB.
+FACE_CHUNK = 1 << 16
 
 
 class LadderDiagram:
@@ -438,13 +443,16 @@ def _sub_faces(d, comp, tables):
         np.bitwise_or(cmasks, np.int64(gadget), out=masks[lo:hi])
         np.add(cdims, np.int16(weight), out=dims[lo:hi])
         lo = hi
-    # Gather masks and dims one at a time, so that one spare copy at most
-    # is alive.
-    order = np.argsort(masks, kind="stable")
-    masks = masks[order]
+    # Gather dims, then the masks into the index array's own buffer, a
+    # slice at a time: each slice's indices are read before they are
+    # overwritten, so no second full-size mask array is made.
+    order = np.argsort(masks, kind="stable").astype(np.int64, copy=False)
     dims = dims[order]
-    tables[comp] = masks, dims
-    return masks, dims
+    for lo in range(0, size, FACE_CHUNK):
+        chunk = order[lo : lo + FACE_CHUNK]
+        chunk[:] = masks[chunk]
+    tables[comp] = order, dims
+    return order, dims
 
 
 def _read_only(masks, dims):
@@ -458,7 +466,9 @@ class FaceSet:
     strictly increasing) and ``dims`` (int16), both read-only.
 
     Indexing and iteration build ``DiagramFace`` objects on demand and keep
-    none of them, so a face set costs about 10 bytes per face.
+    none of them, so a face set costs about 10 bytes per face.  Iteration
+    converts ``FACE_CHUNK`` faces at a time to Python ints, so walking a
+    table adds about 3 MB whatever its size.
     """
 
     __slots__ = ("diagram", "masks", "dims")
@@ -476,9 +486,11 @@ class FaceSet:
         return DiagramFace(self.diagram, int(self.masks[i]), int(self.dims[i]))
 
     def __iter__(self):
-        d = self.diagram
-        for mask, dim in zip(self.masks.tolist(), self.dims.tolist()):
-            yield DiagramFace(d, mask, dim)
+        d, masks, dims = self.diagram, self.masks, self.dims
+        for lo in range(0, len(masks), FACE_CHUNK):
+            hi = lo + FACE_CHUNK
+            for mask, dim in zip(masks[lo:hi].tolist(), dims[lo:hi].tolist()):
+                yield DiagramFace(d, mask, dim)
 
     def census(self):
         """Face counts by dimension, omitting dimensions with no face."""

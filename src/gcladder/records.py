@@ -62,17 +62,14 @@ def face_from_record(record):
 
 
 def face_list_record(faces):
-    """The record of a ``FaceSet``, read from its arrays."""
+    """The record of a ``FaceSet``, walked by its chunked iteration."""
     diagram = faces.diagram
     return {
         "format": FACE_LIST_FORMAT,
         "version": VERSION,
         "composition": list(diagram.composition),
         "edge_count": diagram.num_edges,
-        "faces": [
-            _face_dict(diagram, mask, dim)
-            for mask, dim in zip(faces.masks.tolist(), faces.dims.tolist())
-        ],
+        "faces": [face_record(face) for face in faces],
     }
 
 

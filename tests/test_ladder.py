@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,7 +337,8 @@ def test_face_set_len_and_indexing():
         faces[0:1]
 
 
-@pytest.mark.parametrize("comp", [(), (1, 1), (2, 1), (1, 1, 1), (2, 2)])
+# (2, 2, 2) has 75,553 faces, more than one ``FACE_CHUNK``
+@pytest.mark.parametrize("comp", [(), (1, 1), (2, 1), (1, 1, 1), (2, 2), (2, 2, 2)])
 def test_face_set_iteration_and_census(comp):
     for faces in (enumerate_faces(build_diagram(comp)), brute_force_faces(build_diagram(comp))):
         assert faces.census() == {i: c for i, c in enumerate(f_vector(comp)) if c}
@@ -344,8 +346,47 @@ def test_face_set_iteration_and_census(comp):
         assert all(type(f) is DiagramFace for f in listed)
         assert [f.mask for f in listed] == faces.masks.tolist()
         assert [f.dim for f in listed] == faces.dims.tolist()
-        assert [f.dim for f in listed] == [face_dimension(f) for f in listed]
+        # every face up to 2,000 faces; past that, a spread sample of them
+        sample = listed[:: 1 + len(listed) // 2000]
+        assert [f.dim for f in sample] == [face_dimension(f) for f in sample]
         assert listed == list(faces)  # iterating twice gives the same faces
+
+
+def test_face_set_iteration_holds_one_chunk_of_ints():
+    faces = enumerate_faces(build_diagram((1, 1, 2, 2)))
+    assert len(faces) == 302751 > 4 * ladder.FACE_CHUNK
+    tracemalloc.start()
+    try:
+        whole = faces.masks.tolist(), faces.dims.tolist()
+        whole_peak = tracemalloc.get_traced_memory()[1]
+        del whole
+        tracemalloc.reset_peak()
+        count = sum(1 for _ in faces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(faces)
+    # whole-array lists take about 14 MB here
+    assert peak < whole_peak / 2, (peak, whole_peak)
+
+
+@pytest.mark.parametrize("comp", compositions_with_edge_bound(MAX_BRUTE_FORCE_EDGES))
+def test_chunked_merge_and_iteration_across_chunk_boundaries(comp, monkeypatch):
+    # a 3-face chunk puts boundaries inside every table of the recursion
+    monkeypatch.setattr(ladder, "FACE_CHUNK", 3)
+    d = build_diagram(comp)
+    clear_caches()
+    try:
+        faces = enumerate_faces(d)
+        brute = brute_force_faces(d)
+        assert np.array_equal(faces.masks, brute.masks)
+        assert np.array_equal(faces.dims, brute.dims)
+        for face_set in (faces, brute):
+            listed = list(face_set)
+            assert [f.mask for f in listed] == face_set.masks.tolist()
+            assert [f.dim for f in listed] == face_set.dims.tolist()
+    finally:
+        clear_caches()
 
 
 @pytest.mark.parametrize("enumerator", [enumerate_faces, brute_force_faces])
