@@ -28,8 +28,9 @@ A child diagram shares its parent's origin and coordinates, so every face
 of every sub-composition met in the recursion is an edge set of the
 requested diagram.  The recursion computes them all directly in that
 diagram's edge numbering: it builds no child diagram and moves no bit, and a
-parent face is a child face OR the word's gadget.  Only the requested
-composition's table is memoized.
+parent face is a child face OR the word's gadget.  With the face and its
+dimension packed into one int64 key, that is one addition per face.  Only
+the requested composition's table is memoized.
 """
 
 from __future__ import annotations
@@ -46,17 +47,19 @@ from .words import all_words, child_composition, reduce_composition, word_weight
 # Brute force walks the 2^(|E| - 2n) subsets of the edges off the two axes;
 # refuse diagrams with more such free edges.
 MAX_FREE_EDGES = 26
-# Face bit vectors ride in signed 64-bit arrays during enumeration.
+# Face bit vectors ride in signed 64-bit arrays during enumeration, packed
+# with their dimension into one non-negative key.
 _MAX_MASK_BITS = 62
+_MAX_KEY_BITS = 63
 # Most faces in one table of the array enumerator.  A table peaks at about
-# 24 bytes a face while it is sorted (masks, sort order and sort buffer), so
-# this bound is about 480 MB; it admits the 38 compositions of 7 with at
-# most 20M faces, and refuses (1,)*7 (2,605,486,753 faces) before
-# allocating.
+# 12 bytes a face while it is sorted (its int64 keys and the stable sort's
+# buffer of up to half of them), so this bound is about 240 MB; it admits
+# the 38 compositions of 7 with at most 20M faces, and refuses (1,)*7
+# (2,605,486,753 faces) before allocating.
 MAX_FACES = 20_000_000
-# Faces per slice when a face table is gathered or iterated: large enough
-# that the per-slice overhead vanishes, small enough that one slice's Python
-# ints take about 3 MB.
+# Faces per slice when a face table is split, counted or iterated: large
+# enough that the per-slice overhead vanishes, small enough that one slice's
+# Python ints take about 3 MB.
 FACE_CHUNK = 1 << 16
 
 
@@ -405,54 +408,65 @@ def _face_arrays(comp):
             f"{d} has {d.num_edges} edges; array enumeration is capped at "
             f"{_MAX_MASK_BITS}-bit masks"
         )
-    tables = {(): (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16))}
-    masks, dims = _sub_faces(d, comp, tables)
+    # A face is one int64 key, mask << shift | dim, with ``shift`` the bit
+    # length of the top dimension (the cycle rank (|E| - 2n) / 2), which
+    # bounds every dimension met in the recursion.
+    shift = ((d.num_edges - 2 * d.n) // 2).bit_length()
+    if d.num_edges + shift > _MAX_KEY_BITS:
+        raise ValueError(
+            f"composition {comp} needs {d.num_edges} mask bits and {shift} "
+            f"dimension bits; array enumeration is capped at {_MAX_KEY_BITS} "
+            f"key bits"
+        )
+    keys = _sub_faces(d, comp, shift, {(): np.zeros(1, dtype=np.int64)})
+    # Split the keys: the low ``shift`` bits into int16 dims a slice at a
+    # time, then the masks shifted down in the keys' own buffer.
+    dims = np.empty(keys.size, dtype=np.int16)
+    low = np.int64((1 << shift) - 1)
+    for lo in range(0, keys.size, FACE_CHUNK):
+        hi = lo + FACE_CHUNK
+        dims[lo:hi] = keys[lo:hi] & low
+    masks = np.right_shift(keys, np.int64(shift), out=keys)
     if masks.size > 1 and not np.all(masks[1:] > masks[:-1]):
         raise AssertionError(f"face recursion produced duplicate masks for {comp}")
     return _read_only(masks, dims)
 
 
-def _sub_faces(d, comp, tables):
+def _sub_faces(d, comp, shift, tables):
     # Faces of the diagram of ``comp``, a sub-diagram of ``d`` (or ``d``
-    # itself) with the same origin, as mask-sorted (masks, dims) arrays in
-    # the edge numbering of ``d``; ``tables`` holds those already made.
+    # itself) with the same origin, as sorted int64 keys mask << shift | dim
+    # in the edge numbering of ``d``; ``tables`` holds those already made.
     got = tables.get(comp)
     if got is not None:
         return got
     branches = []
     for w in all_words(len(comp) - 1):
-        cmasks, cdims = _sub_faces(d, child_composition(comp, w), tables)
-        gadget = _gadget_mask(d, comp, w)
-        branches.append((int(cmasks[0]) | gadget, cmasks, cdims, gadget, word_weight(w)))
+        ckeys = _sub_faces(d, child_composition(comp, w), shift, tables)
+        # The gadget's bits lie outside every child mask, and a child dim
+        # plus the word's weight stays below 2^shift, so one add sets both
+        # fields with no carry.
+        step = (_gadget_mask(d, comp, w) << shift) + word_weight(w)
+        branches.append((int(ckeys[0]) + step, ckeys, step))
     # Gadget edges end on the line a + b = n, which the child diagram (total
     # n - 1) does not reach, so each branch is a sorted run.  Laid out by
-    # first mask, runs that do not overlap join into one, which the stable
-    # (merging) argsort finds.
+    # first key, runs that do not overlap join into one, which the stable
+    # sort (timsort, merging runs) finds.
     branches.sort(key=operator.itemgetter(0))
-    size = sum(len(b[1]) for b in branches)
+    size = sum(len(branch[1]) for branch in branches)
     if size > MAX_FACES:
         raise ValueError(
             f"composition {comp} has {size} faces; array enumeration is capped "
             f"at {MAX_FACES} faces"
         )
-    masks = np.empty(size, dtype=np.int64)
-    dims = np.empty(size, dtype=np.int16)
+    keys = np.empty(size, dtype=np.int64)
     lo = 0
-    for _, cmasks, cdims, gadget, weight in branches:
-        hi = lo + len(cmasks)
-        np.bitwise_or(cmasks, np.int64(gadget), out=masks[lo:hi])
-        np.add(cdims, np.int16(weight), out=dims[lo:hi])
+    for _, ckeys, step in branches:
+        hi = lo + len(ckeys)
+        np.add(ckeys, np.int64(step), out=keys[lo:hi])
         lo = hi
-    # Gather dims, then the masks into the index array's own buffer, a
-    # slice at a time: each slice's indices are read before they are
-    # overwritten, so no second full-size mask array is made.
-    order = np.argsort(masks, kind="stable").astype(np.int64, copy=False)
-    dims = dims[order]
-    for lo in range(0, size, FACE_CHUNK):
-        chunk = order[lo : lo + FACE_CHUNK]
-        chunk[:] = masks[chunk]
-    tables[comp] = order, dims
-    return order, dims
+    keys.sort(kind="stable")
+    tables[comp] = keys
+    return keys
 
 
 def _read_only(masks, dims):
@@ -468,7 +482,9 @@ class FaceSet:
     Indexing and iteration build ``DiagramFace`` objects on demand and keep
     none of them, so a face set costs about 10 bytes per face.  Iteration
     converts ``FACE_CHUNK`` faces at a time to Python ints, so walking a
-    table adds about 3 MB whatever its size.
+    table adds about 3 MB whatever its size; ``census`` counts the same
+    slices.  The enumerator builds both arrays from one sorted table of
+    int64 keys, mask << shift | dim, split once at the end.
     """
 
     __slots__ = ("diagram", "masks", "dims")
@@ -494,7 +510,12 @@ class FaceSet:
 
     def census(self):
         """Face counts by dimension, omitting dimensions with no face."""
-        return {i: int(c) for i, c in enumerate(np.bincount(self.dims)) if c}
+        # One slice at a time: ``bincount`` copies its input to intp.
+        dims = self.dims
+        counts = np.zeros(int(dims.max()) + 1 if len(dims) else 0, dtype=np.int64)
+        for lo in range(0, len(dims), FACE_CHUNK):
+            counts += np.bincount(dims[lo : lo + FACE_CHUNK], minlength=len(counts))
+        return {i: int(c) for i, c in enumerate(counts.tolist()) if c}
 
     def __repr__(self):
         return f"FaceSet({self.diagram.composition}, {len(self)} faces)"

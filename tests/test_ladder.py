@@ -294,6 +294,57 @@ def test_array_enumeration_refuses_before_recursing(monkeypatch):
         enumerate_faces(d)
 
 
+def test_array_enumeration_refuses_wide_keys_before_recursing(monkeypatch):
+    # (1, 15) fits the 62-bit masks, but its top dimension 15 takes 4 more
+    # bits of the int64 key
+    d = build_diagram((1, 15))
+    assert d.num_edges == 62
+
+    def no_recursion(*args):
+        raise AssertionError("recursion started before the key-width check")
+
+    monkeypatch.setattr(ladder, "child_composition", no_recursion)
+    with pytest.raises(ValueError) as exc:
+        enumerate_faces(d)
+    assert str(exc.value) == (
+        "composition (1, 15) needs 62 mask bits and 4 dimension bits; "
+        "array enumeration is capped at 63 key bits"
+    )
+
+
+def test_key_width_refuses_exactly_five_compositions_within_the_face_bound():
+    # of the compositions within 62 edges, those whose packed keys would not
+    # fit; all but five of them are past MAX_FACES as well
+    within = []
+    for comp in compositions_with_edge_bound(62):
+        fv = f_vector(comp)
+        wide = diagram_edge_count(comp) + (len(fv) - 1).bit_length() > 63
+        if wide and sum(fv) <= ladder.MAX_FACES:
+            within.append(comp)
+    assert sorted(within) == [(1, 1, 9), (1, 9, 1), (1, 15), (9, 1, 1), (15, 1)]
+    for comp in within:
+        with pytest.raises(ValueError, match="63 key bits"):
+            enumerate_faces(build_diagram(comp))
+
+
+def test_enumeration_memory_per_face():
+    # The uncached table of (1, 1, 2, 2) is built as one int64 key a face and
+    # split into int64 masks and int16 dims, so its traced peak stays near the
+    # finished 10 bytes a face; an argsort order gathered beside the masks
+    # and two dims arrays takes about 22.
+    d = build_diagram((1, 1, 2, 2))
+    clear_caches()
+    tracemalloc.start()
+    try:
+        faces = enumerate_faces(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert len(faces) == 302751
+    assert peak < 14 * len(faces) + (1 << 19), peak / len(faces)
+
+
 def test_array_enumeration_refuses_past_its_face_bound():
     # (1,)*7 fits the 62-bit masks, but its table would hold 2,605,486,753
     # faces: refused once its children (n = 6) are built, before allocating
@@ -341,7 +392,9 @@ def test_face_set_len_and_indexing():
 @pytest.mark.parametrize("comp", [(), (1, 1), (2, 1), (1, 1, 1), (2, 2), (2, 2, 2)])
 def test_face_set_iteration_and_census(comp):
     for faces in (enumerate_faces(build_diagram(comp)), brute_force_faces(build_diagram(comp))):
-        assert faces.census() == {i: c for i, c in enumerate(f_vector(comp)) if c}
+        census = faces.census()
+        assert census == {i: c for i, c in enumerate(f_vector(comp)) if c}
+        assert list(census) == sorted(census)
         listed = list(faces)
         assert all(type(f) is DiagramFace for f in listed)
         assert [f.mask for f in listed] == faces.masks.tolist()
@@ -368,6 +421,19 @@ def test_face_set_iteration_holds_one_chunk_of_ints():
     assert count == len(faces)
     # whole-array lists take about 14 MB here
     assert peak < whole_peak / 2, (peak, whole_peak)
+
+
+def test_census_counts_one_chunk_at_a_time():
+    faces = enumerate_faces(build_diagram((1, 1, 2, 2)))
+    tracemalloc.start()
+    try:
+        census = faces.census()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census == {i: c for i, c in enumerate(f_vector((1, 1, 2, 2))) if c}
+    # an intp copy of all 302,751 dims would take 2.4 MB
+    assert peak < 16 * ladder.FACE_CHUNK, peak
 
 
 @pytest.mark.parametrize("comp", compositions_with_edge_bound(MAX_BRUTE_FORCE_EDGES))
