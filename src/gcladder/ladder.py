@@ -29,8 +29,11 @@ of every sub-composition met in the recursion is an edge set of the
 requested diagram.  The recursion computes them all directly in that
 diagram's edge numbering: it builds no child diagram and moves no bit, and a
 parent face is a child face OR the word's gadget.  With the face and its
-dimension packed into one int64 key, that is one addition per face.  Only
-the requested composition's table is memoized.
+dimension packed into one int64 key, that is one addition per face.  The
+words come from one walk of the composition's letters (``_branches``, the
+rule of ``words.letter_step``), which yields each word's gadget and weight
+as one step, grouped by child.  Only the requested composition's table is
+memoized.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import operator
 import numpy as np
 
 from . import kernels
-from .words import all_words, child_composition, reduce_composition, word_weight
+from .words import BOTH, LETTERS, RIGHT, UP, child_composition, letter_step, reduce_composition
 
 # Brute force walks the 2^(|E| - 2n) subsets of the edges off the two axes;
 # refuse diagrams with more such free edges.
@@ -61,6 +64,8 @@ MAX_FACES = 20_000_000
 # enough that the per-slice overhead vanishes, small enough that one slice's
 # Python ints take about 3 MB.
 FACE_CHUNK = 1 << 16
+# Set bits of each byte value, for counting the edges of a mask bytewise.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int16)
 
 
 class LadderDiagram:
@@ -427,9 +432,53 @@ def _face_arrays(comp):
         hi = lo + FACE_CHUNK
         dims[lo:hi] = keys[lo:hi] & low
     masks = np.right_shift(keys, np.int64(shift), out=keys)
-    if masks.size > 1 and not np.all(masks[1:] > masks[:-1]):
-        raise AssertionError(f"face recursion produced duplicate masks for {comp}")
+    # Each slice is compared with its successor's first mask too, so the
+    # pairs across slice boundaries are checked.
+    for lo in range(0, masks.size - 1, FACE_CHUNK):
+        hi = min(lo + FACE_CHUNK, masks.size - 1)
+        if not np.all(masks[lo + 1 : hi + 1] > masks[lo:hi]):
+            raise AssertionError(f"face recursion produced duplicate masks for {comp}")
     return _read_only(masks, dims)
+
+
+def _branches(d, comp, shift):
+    """The branches of the face recursion of ``comp``, merged by child.
+
+    Returns {child composition: steps}, where the steps are
+    (gadget << shift) + weight over the words whose branch has that child,
+    with the gadget in the edge numbering of ``d``: the multiset of
+    (``child_composition(comp, w)``, (``_gadget_mask(d, comp, w)`` << shift)
+    + ``word_weight(w)``) over all words.  As in ``words.child_groups``, the
+    letters are walked left to right and words that agree on the child
+    prefix and on their last vertical flag share one state; each letter
+    adds its edges into the corner, shifted, and BOTH adds 1 to the weight.
+    ``comp`` must be reduced and non-empty.
+    """
+    index = d.edge_index
+    n = sum(comp)
+    ends = 1 << index[((0, n - 1), (0, n))] | 1 << index[((n - 1, 0), (n, 0))]
+    states = {((), 1): [ends << shift]}
+    a = 0
+    for part in comp[:-1]:
+        a += part
+        b = n - a
+        right = 1 << index[((a - 1, b), (a, b))] << shift
+        up = 1 << index[((a, b - 1), (a, b))] << shift
+        adds = {RIGHT: right, UP: up, BOTH: right + up + 1}
+        moves = {
+            beta: [(*letter_step(part, beta, letter), adds[letter]) for letter in LETTERS]
+            for beta in (0, 1)
+        }
+        nxt = {}
+        for (prefix, beta), steps in states.items():
+            for parts, v, add in moves[beta]:
+                nxt.setdefault((prefix + parts, v), []).extend([step + add for step in steps])
+        states = nxt
+    last = {beta: letter_step(comp[-1], beta, RIGHT)[0] for beta in (0, 1)}
+    children = {}
+    for (prefix, beta), steps in states.items():
+        children.setdefault(prefix + last[beta], []).extend(steps)
+    return children
 
 
 def _sub_faces(d, comp, shift, tables):
@@ -439,14 +488,15 @@ def _sub_faces(d, comp, shift, tables):
     got = tables.get(comp)
     if got is not None:
         return got
+    # One walk of the letters gives every word's step, grouped by child, so
+    # each distinct child is looked up once.  The gadget's bits lie outside
+    # every child mask, and a child dim plus the word's weight stays below
+    # 2^shift, so one add of a step sets both fields with no carry.
     branches = []
-    for w in all_words(len(comp) - 1):
-        ckeys = _sub_faces(d, child_composition(comp, w), shift, tables)
-        # The gadget's bits lie outside every child mask, and a child dim
-        # plus the word's weight stays below 2^shift, so one add sets both
-        # fields with no carry.
-        step = (_gadget_mask(d, comp, w) << shift) + word_weight(w)
-        branches.append((int(ckeys[0]) + step, ckeys, step))
+    for child, steps in _branches(d, comp, shift).items():
+        ckeys = _sub_faces(d, child, shift, tables)
+        first = int(ckeys[0])
+        branches.extend((first + step, ckeys, step) for step in steps)
     # Gadget edges end on the line a + b = n, which the child diagram (total
     # n - 1) does not reach, so each branch is a sorted run.  Laid out by
     # first key, runs that do not overlap join into one, which the stable
@@ -550,14 +600,22 @@ def brute_force_faces(diagram):
         )
     masks = kernels.accepted_face_masks(diagram)
     # Every face contains the origin (for n = 0 it is the face's only
-    # vertex), so |V| - 1 counts the other vertices the face touches.
-    dims = np.zeros(masks.shape, dtype=np.int16)
-    for e in range(diagram.num_edges):
-        dims += ((masks >> e) & 1).astype(np.int16)
-    for v in range(len(diagram.vertices)):
-        if v != diagram.origin_index:
-            incident = sum(1 << e for e in diagram.in_edges[v] + diagram.out_edges[v])
-            dims -= (masks & incident) != 0
+    # vertex), so |V| - 1 counts the other vertices the face touches: those
+    # whose incident edges meet the mask.
+    incident = np.array(
+        [
+            sum(1 << e for e in diagram.in_edges[v] + diagram.out_edges[v])
+            for v in range(len(diagram.vertices))
+            if v != diagram.origin_index
+        ],
+        dtype=np.int64,
+    )
+    dims = np.empty(masks.shape, dtype=np.int16)
+    for lo in range(0, len(masks), FACE_CHUNK):
+        chunk = masks[lo : lo + FACE_CHUNK]
+        edges = _BYTE_BITS[chunk.view(np.uint8)].reshape(len(chunk), -1).sum(axis=1)
+        touched = np.count_nonzero(chunk[:, None] & incident, axis=1)
+        dims[lo : lo + FACE_CHUNK] = edges - touched
     return FaceSet(diagram, *_read_only(masks, dims))
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 
@@ -289,7 +290,7 @@ def test_array_enumeration_refuses_before_recursing(monkeypatch):
     def no_recursion(*args):
         raise AssertionError("recursion started before the mask-width check")
 
-    monkeypatch.setattr(ladder, "child_composition", no_recursion)
+    monkeypatch.setattr(ladder, "_branches", no_recursion)
     with pytest.raises(ValueError, match="capped at 62-bit masks"):
         enumerate_faces(d)
 
@@ -303,7 +304,7 @@ def test_array_enumeration_refuses_wide_keys_before_recursing(monkeypatch):
     def no_recursion(*args):
         raise AssertionError("recursion started before the key-width check")
 
-    monkeypatch.setattr(ladder, "child_composition", no_recursion)
+    monkeypatch.setattr(ladder, "_branches", no_recursion)
     with pytest.raises(ValueError) as exc:
         enumerate_faces(d)
     assert str(exc.value) == (
@@ -372,6 +373,60 @@ def test_gadget_mask_matches_edge_bits_and_raises_on_missing_edges():
     d = build_diagram((1, 1))
     with pytest.raises(KeyError):
         ladder._gadget_mask(d, (3,), ())
+
+
+# The branch walk is compared with the per-word rule on every composition
+# with n <= BRANCH_MAX_N: 8 in tier-1, and CI sets GCLADDER_BRANCH_MAX_N=10.
+BRANCH_MAX_N = int(os.environ.get("GCLADDER_BRANCH_MAX_N", "8"))
+
+
+def per_word_branches(d, comp, shift):
+    """{child: steps} word by word, from the one branch rule."""
+    children = {}
+    for w in all_words(len(comp) - 1):
+        step = (ladder._gadget_mask(d, comp, w) << shift) + word_weight(w)
+        children.setdefault(child_composition(comp, w), []).append(step)
+    return children
+
+
+@pytest.mark.parametrize("n", range(1, BRANCH_MAX_N + 1))
+def test_branch_walk_matches_the_per_word_branch_rule(n):
+    for comp in compositions_of(n):
+        # in the diagram of comp itself, and inside the larger diagram of
+        # (1, *comp), as the recursion walks a sub-composition
+        for d in (build_diagram(comp), build_diagram((1, *comp))):
+            shift = ((d.num_edges - 2 * d.n) // 2).bit_length()
+            walk = ladder._branches(d, comp, shift)
+            want = per_word_branches(d, comp, shift)
+            assert walk.keys() == want.keys(), comp
+            for child, steps in want.items():
+                assert sorted(walk[child]) == sorted(steps), (d, comp, child)
+
+
+# With 3-face chunks, the pairs (2, 3) and (23, 24) of (1, 1, 1)'s 25 faces
+# straddle chunk boundaries; (4, 5) lies inside one chunk.
+@pytest.mark.parametrize("pair", [2, 4, 23])
+def test_duplicate_check_spans_chunk_boundaries(monkeypatch, pair):
+    monkeypatch.setattr(ladder, "FACE_CHUNK", 3)
+    comp = (1, 1, 1)
+    sub_faces = ladder._sub_faces
+
+    def duplicate(d, c, shift, tables):
+        keys = sub_faces(d, c, shift, tables)
+        if c != comp:
+            return keys
+        assert keys.size == 25
+        keys = keys.copy()
+        keys[pair + 1] = keys[pair]
+        return keys
+
+    monkeypatch.setattr(ladder, "_sub_faces", duplicate)
+    clear_caches()
+    try:
+        with pytest.raises(AssertionError, match=r"duplicate masks for \(1, 1, 1\)"):
+            enumerate_faces(build_diagram(comp))
+    finally:
+        clear_caches()
 
 
 def test_face_set_len_and_indexing():
