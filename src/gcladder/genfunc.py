@@ -6,7 +6,7 @@ dimension.  It satisfies a recursion over assignment words, which is what
 ``f_polynomial`` evaluates (memoized on reduced compositions, with the
 empty composition as base case F = 1), one term per distinct child
 composition: ``words.child_groups`` merges the words by child and counts
-them by weight.
+them by weight, through the one walk of the letters, ``words.branch_walk``.
 
 The exponential generating function of the f-polynomials has F_k(t)/k!
 as its coefficient of x^k.  ``DiffOperator`` implements exact

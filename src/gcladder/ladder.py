@@ -30,10 +30,10 @@ requested diagram.  The recursion computes them all directly in that
 diagram's edge numbering: it builds no child diagram and moves no bit, and a
 parent face is a child face OR the word's gadget.  With the face and its
 dimension packed into one int64 key, that is one addition per face.  The
-words come from one walk of the composition's letters (``_branches``, the
-rule of ``words.letter_step``), which yields each word's gadget and weight
-as one step, grouped by child.  Only the requested composition's table is
-memoized.
+words come from ``words.branch_walk``, the one walk of the composition's
+letters, which ``_branches`` feeds the corner edges of ``_corner_bits``: it
+yields each word's gadget and weight as one step, grouped by child.  Only
+the requested composition's table is memoized.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import operator
 import numpy as np
 
 from . import kernels
-from .words import BOTH, LETTERS, RIGHT, UP, child_composition, letter_step, reduce_composition
+from .words import BOTH, RIGHT, UP, branch_walk, child_composition, reduce_composition
 
 # Brute force walks the 2^(|E| - 2n) subsets of the edges off the two axes;
 # refuse diagrams with more such free edges.
@@ -363,39 +363,47 @@ def meet(f1, f2):
     return BOTTOM
 
 
+def _corner_bits(diagram, comp):
+    """The terminal edges of the diagram of ``comp``, as bits of ``diagram``.
+
+    Returns the bits of the two axis edges into the end terminals, and a
+    list with the (right, up) bits of the edges into each interior terminal.
+    ``comp`` is ``diagram.composition`` or a non-empty composition whose
+    diagram lies inside it; sub-diagrams share the origin and coordinates.
+    An edge that ``diagram`` lacks raises ``KeyError``.
+    """
+    index = diagram.edge_index
+    n = sum(comp)
+    ends = 1 << index[((0, n - 1), (0, n))] | 1 << index[((n - 1, 0), (n, 0))]
+    corners = []
+    for a in itertools.accumulate(comp[:-1]):
+        b = n - a
+        corners.append((1 << index[((a - 1, b), (a, b))], 1 << index[((a, b - 1), (a, b))]))
+    return ends, corners
+
+
 def assignment_of_face(face):
     """Word of incoming-edge choices at the interior terminals of a face."""
     d = face.diagram
+    if d.n == 0:
+        return ()
     letters = []
-    for t in range(1, d.s):
-        a, b = d.terminals[t]
-        alpha = 1 if face.mask & d.edge_bit((a - 1, b), (a, b)) else 0
-        beta = 1 if face.mask & d.edge_bit((a, b - 1), (a, b)) else 0
-        if not (alpha or beta):
-            raise ValueError(f"terminal {(a, b)} is uncovered; not a face")
-        letters.append((alpha, beta))
+    for t, (right, up) in enumerate(_corner_bits(d, d.composition)[1], 1):
+        letter = (1 if face.mask & right else 0, 1 if face.mask & up else 0)
+        if letter == (0, 0):
+            raise ValueError(f"terminal {d.terminals[t]} is uncovered; not a face")
+        letters.append(letter)
     return tuple(letters)
 
 
 def _gadget_mask(diagram, comp, word):
     """Bit mask of the terminal-edge gadget that an assignment word selects on
-    the diagram of ``comp``, in the edge numbering of ``diagram``.
-
-    ``comp`` is ``diagram.composition`` or a composition whose diagram lies
-    inside it; sub-diagrams share the origin and coordinates.  An edge the
-    gadget needs that ``diagram`` lacks raises ``KeyError``.
+    the diagram of ``comp``, in the edge numbering of ``diagram``, with the
+    edges of ``_corner_bits`` (which raises ``KeyError`` on a missing edge).
     """
-    index = diagram.edge_index
-    n = sum(comp)
-    mask = 1 << index[((0, n - 1), (0, n))] | 1 << index[((n - 1, 0), (n, 0))]
-    a = 0
-    for part, (alpha, beta) in zip(comp, word):
-        a += part
-        b = n - a
-        if alpha:
-            mask |= 1 << index[((a - 1, b), (a, b))]
-        if beta:
-            mask |= 1 << index[((a, b - 1), (a, b))]
+    mask, corners = _corner_bits(diagram, comp)
+    for (right, up), (alpha, beta) in zip(corners, word):
+        mask |= right * alpha | up * beta
     return mask
 
 
@@ -444,41 +452,23 @@ def _face_arrays(comp):
 def _branches(d, comp, shift):
     """The branches of the face recursion of ``comp``, merged by child.
 
-    Returns {child composition: steps}, where the steps are
-    (gadget << shift) + weight over the words whose branch has that child,
-    with the gadget in the edge numbering of ``d``: the multiset of
+    Returns {child composition: steps}, the multiset of
     (``child_composition(comp, w)``, (``_gadget_mask(d, comp, w)`` << shift)
-    + ``word_weight(w)``) over all words.  As in ``words.child_groups``, the
-    letters are walked left to right and words that agree on the child
-    prefix and on their last vertical flag share one state; each letter
-    adds its edges into the corner, shifted, and BOTH adds 1 to the weight.
-    ``comp`` must be reduced and non-empty.
+    + ``word_weight(w)``) over all words, with the gadget in the edge
+    numbering of ``d``, from ``words.branch_walk``.  ``comp`` must be
+    reduced and non-empty.
     """
-    index = d.edge_index
-    n = sum(comp)
-    ends = 1 << index[((0, n - 1), (0, n))] | 1 << index[((n - 1, 0), (n, 0))]
-    states = {((), 1): [ends << shift]}
-    a = 0
-    for part in comp[:-1]:
-        a += part
-        b = n - a
-        right = 1 << index[((a - 1, b), (a, b))] << shift
-        up = 1 << index[((a, b - 1), (a, b))] << shift
-        adds = {RIGHT: right, UP: up, BOTH: right + up + 1}
-        moves = {
-            beta: [(*letter_step(part, beta, letter), adds[letter]) for letter in LETTERS]
-            for beta in (0, 1)
-        }
-        nxt = {}
-        for (prefix, beta), steps in states.items():
-            for parts, v, add in moves[beta]:
-                nxt.setdefault((prefix + parts, v), []).extend([step + add for step in steps])
-        states = nxt
-    last = {beta: letter_step(comp[-1], beta, RIGHT)[0] for beta in (0, 1)}
-    children = {}
-    for (prefix, beta), steps in states.items():
-        children.setdefault(prefix + last[beta], []).extend(steps)
-    return children
+    ends, corners = _corner_bits(d, comp)
+    adds = [
+        {RIGHT: right << shift, UP: up << shift, BOTH: ((right | up) << shift) + 1}
+        for right, up in corners
+    ]
+    return branch_walk(comp, [ends << shift], adds, _add_steps)
+
+
+def _add_steps(table, key, steps, add):
+    # table[key] += the steps, each plus add
+    table.setdefault(key, []).extend([step + add for step in steps] if add else steps)
 
 
 def _sub_faces(d, comp, shift, tables):
@@ -588,7 +578,8 @@ def brute_force_faces(diagram):
     edges every face holds from the face rule alone (the 2n axis edges) and
     filters the 2^(|E| - 2n) subsets of the other edges that hold them all
     by the rule of ``is_face_local``.
-    A diagram with more than ``MAX_FREE_EDGES`` such free edges is refused.
+    A diagram with more than ``MAX_FREE_EDGES`` such free edges, or more
+    edges than the int64 masks hold, is refused.
     Dimensions are cycle ranks |E| - |V| + 1 counted from the masks,
     independent of the word weights the recursion adds up.
     """
@@ -597,6 +588,11 @@ def brute_force_faces(diagram):
         raise ValueError(
             f"{diagram} has {free} edges off the axes; brute force is capped "
             f"at {MAX_FREE_EDGES}"
+        )
+    if diagram.num_edges > _MAX_MASK_BITS:
+        raise ValueError(
+            f"{diagram} has {diagram.num_edges} edges; brute force is capped "
+            f"at {_MAX_MASK_BITS}-bit masks"
         )
     masks = kernels.accepted_face_masks(diagram)
     # Every face contains the origin (for n = 0 it is the face's only

@@ -120,31 +120,45 @@ def _add_counts(table, key, counts, shift):
         acc[i] += c
 
 
+def branch_walk(comp, start, values, merge):
+    """The one walk of the face recursion's branches, merged by child.
+
+    The letters of every word of ``comp`` are walked left to right with
+    ``letter_step``, and words that agree on the child prefix built so far
+    and on the vertical flag of their last letter share one state: the rest
+    of the child depends only on that flag and on the letters still to come.
+    The walk starts from the state ``start``.  ``values`` holds one
+    {letter: value} dict per interior part, and each step of a state
+    through a letter calls ``merge(table, key, acc, value)`` to fold the
+    state's ``acc`` into ``table[key]``; the far corner's fixed RIGHT has
+    the value 0.  Returns {child composition: merged}.  ``comp`` must be
+    reduced and non-empty.
+    """
+    states = {((), 1): start}
+    for part, letters in zip(comp[:-1], values):
+        moves = {
+            beta: [(*letter_step(part, beta, letter), value) for letter, value in letters.items()]
+            for beta in (0, 1)
+        }
+        table = {}
+        for (prefix, beta), acc in states.items():
+            for parts, v, value in moves[beta]:
+                merge(table, (prefix + parts, v), acc, value)
+        states = table
+    last = {beta: letter_step(comp[-1], beta, RIGHT)[0] for beta in (0, 1)}
+    children = {}
+    for (prefix, beta), acc in states.items():
+        merge(children, prefix + last[beta], acc, 0)
+    return children
+
+
 def child_groups(comp):
     """The branches of the face recursion of ``comp``, merged by child.
 
     Returns {child composition: counts}, where counts[i] is the number of
     words of weight i whose branch has that child; this is the multiset of
-    (``child_composition(comp, w)``, ``word_weight(w)``) over all words.
-    The letters are walked left to right, and words that agree on the child
-    prefix built so far and on the vertical flag of their last letter are
-    merged: the rest of the child depends only on that flag and on the
-    letters still to come.  ``comp`` must be reduced and non-empty.
+    (``child_composition(comp, w)``, ``word_weight(w)``) over all words,
+    from ``branch_walk``.  ``comp`` must be reduced and non-empty.
     """
-    states = {((), 1): [1]}
-    for part in comp[:-1]:
-        steps = {
-            beta: [(*letter_step(part, beta, (a, v)), a * v) for a, v in LETTERS]
-            for beta in (0, 1)
-        }
-        nxt = {}
-        for (prefix, beta), counts in states.items():
-            for parts, v, weight in steps[beta]:
-                _add_counts(nxt, (prefix + parts, v), counts, weight)
-        states = nxt
-    groups = {}
-    last = {beta: letter_step(comp[-1], beta, RIGHT)[0] for beta in (0, 1)}
-    for (prefix, beta), counts in states.items():
-        _add_counts(groups, prefix + last[beta], counts, 0)
-    return groups
-
+    weights = {RIGHT: 0, UP: 0, BOTH: 1}
+    return branch_walk(comp, [1], [weights] * (len(comp) - 1), _add_counts)

@@ -545,6 +545,25 @@ def test_brute_force_refuses_large_diagram():
         brute_force_faces(d)
 
 
+def test_brute_force_refuses_past_the_mask_width_before_scanning(monkeypatch):
+    # (32,) has 64 edges and none free: within MAX_FREE_EDGES, but its
+    # masks do not fit the int64 arrays
+    d = build_diagram((32,))
+    assert d.num_edges == 64 and d.num_edges - 2 * d.n == 0
+
+    def no_scan(diagram):
+        raise AssertionError("scan started before the mask-width check")
+
+    monkeypatch.setattr(ladder.kernels, "accepted_face_masks", no_scan)
+    with pytest.raises(ValueError) as exc:
+        brute_force_faces(d)
+    assert str(exc.value) == "LadderDiagram(32,) has 64 edges; brute force is capped at 62-bit masks"
+    monkeypatch.undo()
+    # (31,) has 62 edges, the widest that fits, and its one face
+    faces = brute_force_faces(build_diagram((31,)))
+    assert len(faces) == 1 and faces[0].is_full() and faces[0].dim == 0
+
+
 def test_brute_force_scans_at_the_free_edge_cap():
     d = build_diagram((1, 1, 2, 2))
     assert d.num_edges - 2 * d.n == MAX_FREE_EDGES

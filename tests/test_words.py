@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 from itertools import product
 
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from gcladder.words import (
     BOTH,
+    LETTERS,
     RIGHT,
     UP,
     all_words,
+    branch_walk,
     child_composition,
     child_groups,
     d_transform,
@@ -23,6 +26,10 @@ from gcladder.words import (
 from gcladder.ladder import compositions_of
 
 SMALL_COMPOSITIONS = [c for n in range(1, 8) for c in compositions_of(n)]
+# The branch walk is compared with the per-word rule on every composition
+# with n <= BRANCH_MAX_N: 8 in tier-1, and CI sets GCLADDER_BRANCH_MAX_N=10
+# (as for the enumerator's walk in test_ladder.py).
+BRANCH_MAX_N = int(os.environ.get("GCLADDER_BRANCH_MAX_N", "8"))
 
 
 def test_letter_values():
@@ -113,8 +120,9 @@ def test_child_composition_interleaves_the_transforms():
             assert child_composition(comp, w) == want
 
 
-def test_child_groups_merge_the_words():
-    for comp in SMALL_COMPOSITIONS:
+@pytest.mark.parametrize("n", range(1, BRANCH_MAX_N + 1))
+def test_child_groups_merge_the_words(n):
+    for comp in compositions_of(n):
         want = Counter(
             (child_composition(comp, w), word_weight(w))
             for w in all_words(len(comp) - 1)
@@ -129,3 +137,21 @@ def test_child_groups_merge_the_words():
         )
         assert got == want, comp
         assert all(counts[-1] for counts in child_groups(comp).values())
+
+
+def _append_letter(table, key, words, letter):
+    # the far corner's fixed RIGHT has the value 0 and is no letter of a word
+    table.setdefault(key, []).extend([w + (letter,) for w in words] if letter else words)
+
+
+@pytest.mark.parametrize("n", range(1, BRANCH_MAX_N + 1))
+def test_branch_walk_groups_the_words_by_child(n):
+    for comp in compositions_of(n):
+        letters = {letter: letter for letter in LETTERS}
+        walk = branch_walk(comp, [()], [letters] * (len(comp) - 1), _append_letter)
+        want = {}
+        for w in all_words(len(comp) - 1):
+            want.setdefault(child_composition(comp, w), []).append(w)
+        assert walk.keys() == want.keys(), comp
+        for child, words in want.items():
+            assert sorted(walk[child]) == sorted(words), (comp, child)
