@@ -42,8 +42,8 @@ MAX_BRUTE_FORCE_EDGES = 22
 # below the library's `polytope.MAX_ORACLE_N`, so `verify all` stays as pinned.
 MAX_ISO_N = 4
 # Largest n = k_1 + ... + k_s that `fvector` computes.  On a 2-core Xeon
-# the slowest compositions found at n = 12 take about 1.4 s, and at n = 13
-# about 4 s: each further unit of n costs about 3-4x more.
+# the slowest compositions found at n = 12 take about 0.6 s, and at n = 13
+# about 1.5 s, in process: each further unit of n costs about 3x more.
 MAX_FVECTOR_N = 12
 DEFAULT_DEGREE = 6
 PDE_S_RANGE = (1, 2, 3)

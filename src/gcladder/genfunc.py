@@ -3,10 +3,14 @@ differential operators acting on them.
 
 The f-polynomial of a composition counts faces of its ladder diagram by
 dimension.  It satisfies a recursion over assignment words, which is what
-``f_polynomial`` evaluates (memoized on reduced compositions, with the
-empty composition as base case F = 1), one term per distinct child
-composition: ``words.child_groups`` merges the words by child and counts
-them by weight, through the one walk of the letters, ``words.branch_walk``.
+``f_polynomial`` evaluates, one term per distinct child composition:
+``words.child_groups`` merges the words by child and counts them by
+weight, through the one walk of the letters, ``words.branch_walk``.  The
+memo holds reduced compositions, with the empty composition as base case
+F = 1.  The requested composition is computed and memoized as given; every
+child is looked up as the smaller of itself and its reverse, one entry per
+reversal pair, since reversing a composition transposes its diagram
+(``ladder.transpose_face``) and leaves F unchanged.
 
 The exponential generating function of the f-polynomials has F_k(t)/k!
 as its coefficient of x^k.  ``DiffOperator`` implements exact
@@ -140,10 +144,12 @@ TPoly.ONE = TPoly((1,))
 def _f_polynomial_reduced(comp):
     if not comp:
         return TPoly.ONE
-    # F_comp = sum over words w of t^|w| F_child(w), one term per child
+    # F_comp = sum over words w of t^|w| F_child(w), one term per child.
+    # F is invariant under reversal (the diagram's transpose), so a child
+    # and its reverse share the memo entry of the smaller of the two.
     acc = []
     for child, counts in child_groups(comp).items():
-        coeffs = _f_polynomial_reduced(child).coeffs
+        coeffs = _f_polynomial_reduced(min(child, child[::-1])).coeffs
         size = len(counts) + len(coeffs) - 1
         if len(acc) < size:
             acc.extend([0] * (size - len(acc)))

@@ -7,6 +7,7 @@ face recursion for a composition with s parts; the transforms below map a
 parent composition to the child composition of each branch.
 """
 
+import functools
 from itertools import product
 
 # One letter per interior terminal: (horizontal flag, vertical flag).
@@ -90,6 +91,12 @@ def letter_step(part, beta, letter):
     return (head + (1,) if a and v else head), v
 
 
+@functools.lru_cache(maxsize=None)
+def _letter_steps(part):
+    # {beta: {letter: letter_step(part, beta, letter)}}, letters in LETTERS order
+    return {beta: {letter: letter_step(part, beta, letter) for letter in LETTERS} for beta in (0, 1)}
+
+
 def child_composition(comp, w):
     """Reduced composition of the child diagram on the branch of word w.
 
@@ -133,11 +140,19 @@ def branch_walk(comp, start, values, merge):
     state's ``acc`` into ``table[key]``; the far corner's fixed RIGHT has
     the value 0.  Returns {child composition: merged}.  ``comp`` must be
     reduced and non-empty.
+
+    Each part's steps come from ``_letter_steps``, a table memoized on the
+    part alone (both vertical flags, the letters of ``LETTERS``).  The
+    values are paired with it per call and never enter the cache, so the
+    enumerator's diagram-specific bit masks cannot grow it.  The children
+    are keyed as built: ``genfunc`` looks each one up under the smaller of
+    itself and its reverse, and the enumerator needs its own orientation.
     """
     states = {((), 1): start}
     for part, letters in zip(comp[:-1], values):
+        steps = _letter_steps(part)
         moves = {
-            beta: [(*letter_step(part, beta, letter), value) for letter, value in letters.items()]
+            beta: [(*steps[beta][letter], value) for letter, value in letters.items()]
             for beta in (0, 1)
         }
         table = {}
@@ -145,7 +160,8 @@ def branch_walk(comp, start, values, merge):
             for parts, v, value in moves[beta]:
                 merge(table, (prefix + parts, v), acc, value)
         states = table
-    last = {beta: letter_step(comp[-1], beta, RIGHT)[0] for beta in (0, 1)}
+    steps = _letter_steps(comp[-1])
+    last = {beta: steps[beta][RIGHT][0] for beta in (0, 1)}
     children = {}
     for (prefix, beta), acc in states.items():
         merge(children, prefix + last[beta], acc, 0)

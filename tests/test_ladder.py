@@ -403,6 +403,16 @@ def test_branch_walk_matches_the_per_word_branch_rule(n):
                 assert sorted(walk[child]) == sorted(steps), (d, comp, child)
 
 
+def test_brute_force_of_the_reverse_equals_the_f_vector():
+    # f(k) = f(reversed k), checked without the memo, which shares one entry
+    # between a child and its reverse
+    comps = compositions_with_edge_bound(22)
+    assert len(comps) == 28
+    for comp in comps:
+        census = brute_force_faces(build_diagram(comp[::-1])).census()
+        assert census == dict(enumerate(f_vector(comp))), comp
+
+
 # With 3-face chunks, the pairs (2, 3) and (23, 24) of (1, 1, 1)'s 25 faces
 # straddle chunk boundaries; (4, 5) lies inside one chunk.
 @pytest.mark.parametrize("pair", [2, 4, 23])

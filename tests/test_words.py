@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gcladder import clear_caches, ladder, words
+from gcladder.genfunc import f_polynomial
 from gcladder.words import (
     BOTH,
     LETTERS,
@@ -104,6 +106,26 @@ def test_letter_step():
     assert letter_step(2, 1, BOTH) == ((1, 1), 1)
     assert letter_step(1, 1, BOTH) == ((1,), 1)
     assert letter_step(1, 1, RIGHT) == ((), 0)
+
+
+def test_letter_steps_are_the_letter_rule_per_part():
+    for part in range(1, 13):
+        for beta in (0, 1):
+            steps = words._letter_steps(part)[beta]
+            assert list(steps) == list(LETTERS)
+            for letter in LETTERS:
+                assert steps[letter] == letter_step(part, beta, letter)
+    # Keyed by the part alone: the values of a call, such as the
+    # enumerator's bit masks in its own diagram, never enter the cache.
+    # enumerate_faces refuses most compositions of 8 (over MAX_FACES), so
+    # its walk, ladder._branches, runs on each one's diagram directly.
+    clear_caches()
+    words._letter_steps.cache_clear()
+    for comp in compositions_of(8):
+        f_polynomial(comp)
+        d = ladder.build_diagram(comp)
+        ladder._branches(d, comp, ((d.num_edges - 2 * d.n) // 2).bit_length())
+    assert words._letter_steps.cache_info().currsize <= 8
 
 
 def test_child_composition_refuses_wrong_word_length():
