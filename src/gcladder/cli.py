@@ -140,7 +140,7 @@ def cmd_faces(args):
     if args.format == "json":
         payload = records.face_list_record(faces)
         if decompose:
-            for rec, face in zip(payload["faces"], faces):
+            for rec, (_, face) in zip(payload["faces"], records.listed_faces(faces)):
                 word, child = _decomposition(face)
                 rec["word"] = [list(letter) for letter in word]
                 rec["child_composition"] = list(child)
@@ -149,8 +149,8 @@ def cmd_faces(args):
     print(f"composition: ({', '.join(str(p) for p in diagram.composition)})")
     print(f"edges: {diagram.num_edges}")
     print(f"faces: {len(faces)}")
-    for face in faces:
-        line = f"  dim {face.dim}  edges 0x{records.hex_mask(diagram, face.mask)}"
+    for edges_hex, face in records.listed_faces(faces):
+        line = f"  dim {face.dim}  edges 0x{edges_hex}"
         if decompose:
             word, child = _decomposition(face)
             word_str = "".join(_WORD_LETTER[letter] for letter in word) or "-"

@@ -9,10 +9,13 @@ of length n.
 
 A *face* of the diagram is an edge subset that covers every terminal corner
 and is a union of such origin-to-terminal paths; its dimension is its cycle
-rank.  Faces are stored as bit vectors over a canonical edge numbering
-(horizontal edges first, then vertical, each block sorted by head
-coordinate), which makes the lattice operations integer bit arithmetic and
-serialization deterministic.
+rank.  Faces are stored as bit vectors over a canonical band-major edge
+numbering: edges sorted by the anti-diagonal a + b of their head, then
+horizontal before vertical, then by head.  That makes the lattice operations
+integer bit arithmetic, and it puts every edge that ends on a line a + b = m
+above every edge that ends below it.  Records and the CLI write masks in a
+second numbering, horizontal edges first and then vertical, each block by
+head (``LadderDiagram.record_position`` maps one to the other; see ``records``).
 
 Two independent enumerators are provided: ``enumerate_faces`` recurses over
 assignment words (attaching the terminal-edge gadget of each word to every
@@ -30,10 +33,13 @@ requested diagram.  The recursion computes them all directly in that
 diagram's edge numbering: it builds no child diagram and moves no bit, and a
 parent face is a child face OR the word's gadget.  With the face and its
 dimension packed into one int64 key, that is one addition per face.  The
-words come from ``words.branch_walk``, the one walk of the composition's
-letters, which ``_branches`` feeds the corner edges of ``_corner_bits``: it
-yields each word's gadget and weight as one step, grouped by child.  Only
-the requested composition's table is memoized.
+gadget's edges end on the line a + b = n of its composition and the child's
+below it, so in the band-major numbering the gadget outranks every child
+face: a table is its words' child tables laid end to end by gadget, with no
+sort.  The words come from ``words.branch_walk``, the one walk of the
+composition's letters, which ``_branches`` feeds the corner edges of
+``_corner_bits``: it yields each word's gadget and weight as one step,
+grouped by child.  Only the requested composition's table is memoized.
 """
 
 from __future__ import annotations
@@ -54,11 +60,12 @@ MAX_FREE_EDGES = 26
 # with their dimension into one non-negative key.
 _MAX_MASK_BITS = 62
 _MAX_KEY_BITS = 63
-# Most faces in one table of the array enumerator.  A table peaks at about
-# 12 bytes a face while it is sorted (its int64 keys and the stable sort's
-# buffer of up to half of them), so this bound is about 240 MB; it admits
-# the 38 compositions of 7 with at most 20M faces, and refuses (1,)*7
-# (2,605,486,753 faces) before allocating.
+# Most faces in one table of the array enumerator.  A table is its int64
+# keys, which become its masks, plus int16 dims: 10 bytes a face.  Its
+# children's tables are freed before the dims are made, so it peaks at about
+# that (10.04 bytes a face for (2, 1, 1, 3), by tracemalloc), and this bound
+# is about 200 MB.  It admits the 38 compositions of 7 with at most 20M
+# faces, and refuses (1,)*7 (2,605,486,753 faces) before allocating.
 MAX_FACES = 20_000_000
 # Faces per slice when a face table is split, counted or iterated: large
 # enough that the per-slice overhead vanishes, small enough that one slice's
@@ -68,8 +75,26 @@ FACE_CHUNK = 1 << 16
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int16)
 
 
+def _edge_key(edge):
+    # Band-major order: by the anti-diagonal of the head, then horizontal
+    # h(i,j) = ((i-1,j),(i,j)) before vertical v(i,j) = ((i,j-1),(i,j)), then
+    # by head (i, j).
+    (ta, _), head = edge
+    return sum(head), ta == head[0], head
+
+
+def _record_key(edge):
+    # Record order: horizontals sorted by head, then verticals likewise.
+    (ta, _), head = edge
+    return ta == head[0], head
+
+
 class LadderDiagram:
     """The grid graph of a reduced composition, with canonical edge indexing.
+
+    ``edges`` is in band-major order (``_edge_key``), and
+    ``record_position[e]`` is edge e's index in the record order
+    (``_record_key``) that ``records`` writes.
 
     Instances are interned per reduced composition (see ``build_diagram``),
     immutable after construction, and safe to share across threads.
@@ -87,6 +112,7 @@ class LadderDiagram:
         "edge_tails",
         "edge_heads",
         "edges_topo",
+        "record_position",
         "origin_index",
         "terminal_indices",
         "terminal_in_masks",
@@ -124,20 +150,19 @@ class LadderDiagram:
         self.vertex_index = {v: i for i, v in enumerate(verts)}
         vset = self.vertex_index
 
-        horiz = []
-        vert = []
-        for (a, b) in sorted(vset):
-            if (a + 1, b) in vset:
-                horiz.append(((a, b), (a + 1, b)))
-            if (a, b + 1) in vset:
-                vert.append(((a, b), (a, b + 1)))
-        # Canonical order: horizontals h(i,j) = ((i-1,j),(i,j)) sorted by head
-        # (i, j), then verticals v(i,j) = ((i,j-1),(i,j)) likewise.
-        horiz.sort(key=lambda e: e[1])
-        vert.sort(key=lambda e: e[1])
-        edges = tuple(horiz + vert)
+        edges = tuple(sorted(
+            (
+                ((a, b), head)
+                for (a, b) in vset
+                for head in ((a + 1, b), (a, b + 1))
+                if head in vset
+            ),
+            key=_edge_key,
+        ))
         self.edges = edges
         self.edge_index = {e: i for i, e in enumerate(edges)}
+        record = {e: i for i, e in enumerate(sorted(edges, key=_record_key))}
+        self.record_position = tuple(record[e] for e in edges)
         self.edge_tails = tuple(vset[e[0]] for e in edges)
         self.edge_heads = tuple(vset[e[1]] for e in edges)
         order = sorted(range(len(edges)), key=lambda e: sum(edges[e][0]))
@@ -440,12 +465,16 @@ def _face_arrays(comp):
         hi = lo + FACE_CHUNK
         dims[lo:hi] = keys[lo:hi] & low
     masks = np.right_shift(keys, np.int64(shift), out=keys)
-    # Each slice is compared with its successor's first mask too, so the
-    # pairs across slice boundaries are checked.
+    # The masks must increase strictly: no face twice, and the branches laid
+    # end to end in order, as the band-major numbering makes them.  Each
+    # slice is compared with its successor's first mask too, so the pairs
+    # across slice boundaries are checked.
     for lo in range(0, masks.size - 1, FACE_CHUNK):
         hi = min(lo + FACE_CHUNK, masks.size - 1)
         if not np.all(masks[lo + 1 : hi + 1] > masks[lo:hi]):
-            raise AssertionError(f"face recursion produced duplicate masks for {comp}")
+            raise AssertionError(
+                f"face recursion produced out-of-order or duplicate masks for {comp}"
+            )
     return _read_only(masks, dims)
 
 
@@ -473,8 +502,8 @@ def _add_steps(table, key, steps, add):
 
 def _sub_faces(d, comp, shift, tables):
     # Faces of the diagram of ``comp``, a sub-diagram of ``d`` (or ``d``
-    # itself) with the same origin, as sorted int64 keys mask << shift | dim
-    # in the edge numbering of ``d``; ``tables`` holds those already made.
+    # itself) with the same origin, as increasing int64 keys mask << shift |
+    # dim in the edge numbering of ``d``; ``tables`` holds those already made.
     got = tables.get(comp)
     if got is not None:
         return got
@@ -485,14 +514,14 @@ def _sub_faces(d, comp, shift, tables):
     branches = []
     for child, steps in _branches(d, comp, shift).items():
         ckeys = _sub_faces(d, child, shift, tables)
-        first = int(ckeys[0])
-        branches.extend((first + step, ckeys, step) for step in steps)
-    # Gadget edges end on the line a + b = n, which the child diagram (total
-    # n - 1) does not reach, so each branch is a sorted run.  Laid out by
-    # first key, runs that do not overlap join into one, which the stable
-    # sort (timsort, merging runs) finds.
+        branches.extend((step, ckeys) for step in steps)
+    # Gadget edges end on the line a + b = n of ``comp``, and the child's
+    # edges below it, so in the band-major numbering each gadget outranks
+    # every child mask.  The words' gadgets differ, so laid out by step,
+    # which orders them by gadget, the branches are one increasing table;
+    # ``_face_arrays`` checks that it is.
     branches.sort(key=operator.itemgetter(0))
-    size = sum(len(branch[1]) for branch in branches)
+    size = sum(len(ckeys) for _, ckeys in branches)
     if size > MAX_FACES:
         raise ValueError(
             f"composition {comp} has {size} faces; array enumeration is capped "
@@ -500,11 +529,10 @@ def _sub_faces(d, comp, shift, tables):
         )
     keys = np.empty(size, dtype=np.int64)
     lo = 0
-    for _, ckeys, step in branches:
+    for step, ckeys in branches:
         hi = lo + len(ckeys)
         np.add(ckeys, np.int64(step), out=keys[lo:hi])
         lo = hi
-    keys.sort(kind="stable")
     tables[comp] = keys
     return keys
 
@@ -523,8 +551,9 @@ class FaceSet:
     none of them, so a face set costs about 10 bytes per face.  Iteration
     converts ``FACE_CHUNK`` faces at a time to Python ints, so walking a
     table adds about 3 MB whatever its size; ``census`` counts the same
-    slices.  The enumerator builds both arrays from one sorted table of
-    int64 keys, mask << shift | dim, split once at the end.
+    slices.  The enumerator builds both arrays from one table of int64
+    keys, mask << shift | dim, which its recursion lays out in increasing
+    order, split once at the end.
     """
 
     __slots__ = ("diagram", "masks", "dims")

@@ -2,15 +2,25 @@
 
 Every record carries a ``format`` tag and integer ``version`` so files can
 be validated on the way back in.  Faces serialize as hexadecimal strings of
-the canonical edge bit vector together with their composition; coefficient
-lists are decimal strings (lowest degree first) so arbitrary-precision
-values survive JSON.  ``dumps`` produces byte-deterministic output.
+their edge bit vector together with their composition; coefficient lists
+are decimal strings (lowest degree first) so arbitrary-precision values
+survive JSON.  ``dumps`` produces byte-deterministic output.
+
+The library numbers edges band-major (see ``ladder``).  A record numbers
+them in the record order instead: horizontal edges first, then vertical,
+each block by head coordinate.  ``hex_mask`` writes a library mask in that
+order through the diagram's one bit map, ``LadderDiagram.record_position``,
+and ``face_from_record`` reads it back.  Face lists (``face_list_record``,
+``gcladder faces``) go by increasing record mask.  Failure messages name an
+offending face by its index in library order, with its mask in record form.
 """
 
 import json
 
+import numpy as np
+
 from .genfunc import f_polynomial
-from .ladder import DiagramFace, build_diagram, compositions_of, is_face
+from .ladder import FACE_CHUNK, DiagramFace, build_diagram, compositions_of, is_face
 
 FACE_FORMAT = "gcladder/face"
 FACE_LIST_FORMAT = "gcladder/faces"
@@ -26,31 +36,48 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def hex_mask(diagram, mask):
-    """A face mask as hexadecimal digits, zero-padded to the diagram's edges."""
+def _moved(masks, moves):
+    """``masks`` (an int or an int64 array) with bit i moved to bit moves[i]."""
+    out = masks & 0
+    for i, j in enumerate(moves):
+        out |= (masks >> i & 1) << j
+    return out
+
+
+def _record_hex(diagram, record_mask):
     width = max(1, (diagram.num_edges + 3) // 4)
-    return f"{mask:0{width}x}"
+    return f"{record_mask:0{width}x}"
 
 
-def _face_dict(diagram, mask, dim):
+def hex_mask(diagram, mask):
+    """A library face mask in the record order, as hexadecimal digits
+    zero-padded to the diagram's edges."""
+    return _record_hex(diagram, _moved(mask, diagram.record_position))
+
+
+def _face_dict(diagram, edges_hex, dim):
     return {
         "format": FACE_FORMAT,
         "version": VERSION,
         "composition": list(diagram.composition),
-        "edges_hex": hex_mask(diagram, mask),
+        "edges_hex": edges_hex,
         "dim": dim,
     }
 
 
 def face_record(face):
-    return _face_dict(face.diagram, face.mask, face.dim)
+    return _face_dict(face.diagram, hex_mask(face.diagram, face.mask), face.dim)
 
 
 def face_from_record(record):
     if record.get("format") != FACE_FORMAT or record.get("version") != VERSION:
         raise ValueError(f"not a version-{VERSION} face record")
     diagram = build_diagram(tuple(record["composition"]))
-    mask = int(record["edges_hex"], 16)
+    record_mask = int(record["edges_hex"], 16)
+    if record_mask >> diagram.num_edges:
+        raise ValueError("edge subset uses bits outside the diagram")
+    position = diagram.record_position
+    mask = _moved(record_mask, sorted(range(len(position)), key=position.__getitem__))
     if not is_face(diagram, mask):
         raise ValueError("record does not describe a face")
     face = DiagramFace(diagram, mask)
@@ -61,15 +88,32 @@ def face_from_record(record):
     return face
 
 
+def listed_faces(faces):
+    """(edges_hex, face) for each face of a ``FaceSet``, by increasing record
+    mask: the order of ``face_list_record`` and ``gcladder faces``.  The
+    faces are built ``FACE_CHUNK`` at a time."""
+    diagram, masks, dims = faces.diagram, faces.masks, faces.dims
+    record_masks = _moved(masks, diagram.record_position)
+    order = np.argsort(record_masks)
+    for lo in range(0, len(order), FACE_CHUNK):
+        at = order[lo : lo + FACE_CHUNK]
+        for record_mask, mask, dim in zip(
+            record_masks[at].tolist(), masks[at].tolist(), dims[at].tolist()
+        ):
+            yield _record_hex(diagram, record_mask), DiagramFace(diagram, mask, dim)
+
+
 def face_list_record(faces):
-    """The record of a ``FaceSet``, walked by its chunked iteration."""
+    """The record of a ``FaceSet``, its faces by increasing record mask."""
     diagram = faces.diagram
     return {
         "format": FACE_LIST_FORMAT,
         "version": VERSION,
         "composition": list(diagram.composition),
         "edge_count": diagram.num_edges,
-        "faces": [face_record(face) for face in faces],
+        "faces": [
+            _face_dict(diagram, edges_hex, face.dim) for edges_hex, face in listed_faces(faces)
+        ],
     }
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcladder import clear_caches, ladder
+from gcladder import clear_caches, ladder, records
 from gcladder.cli import MAX_BRUTE_FORCE_EDGES
 from gcladder.genfunc import f_vector
 from gcladder.ladder import (
@@ -91,13 +92,36 @@ def test_degenerate_diagram():
 
 
 def test_edge_order_canonical():
-    d = build_diagram((1, 1))
-    # horizontals sorted by head, then verticals sorted by head
-    horiz = [e for e in d.edges if e[1][0] == e[0][0] + 1]
-    vert = [e for e in d.edges if e[1][1] == e[0][1] + 1]
-    assert list(d.edges) == horiz + vert
-    assert horiz == sorted(horiz, key=lambda e: e[1])
-    assert vert == sorted(vert, key=lambda e: e[1])
+    for comp in [(1, 1), (2, 1), (1, 2, 1), (1, 1, 1, 1)]:
+        d = build_diagram(comp)
+        # The library numbers edges band-major: by the anti-diagonal of the
+        # head, then horizontal before vertical, then by head.
+        key = [(sum(head), head[0] == tail[0], head) for tail, head in d.edges]
+        assert key == sorted(set(key)), comp
+        # Records number them horizontals sorted by head, then verticals
+        # sorted by head.
+        horiz = sorted((e for e in d.edges if e[1][0] == e[0][0] + 1), key=lambda e: e[1])
+        vert = sorted((e for e in d.edges if e[1][1] == e[0][1] + 1), key=lambda e: e[1])
+        assert len(horiz) + len(vert) == d.num_edges
+        for p, edge in enumerate(horiz + vert):
+            assert int(records.hex_mask(d, d.edge_bit(*edge)), 16) == 1 << p, (comp, edge)
+
+
+# In the record order a gadget's bits fall between its child's bits, so for
+# these compositions the branches laid end to end are out of order; the
+# enumerator must refuse that table rather than return it.
+@pytest.mark.parametrize("comp", [(1, 2), (1, 1, 1), (2, 2, 1)])
+def test_enumeration_refuses_edges_out_of_band_order(monkeypatch, comp):
+    monkeypatch.setattr(ladder, "_edge_key", ladder._record_key)
+    # Fresh memos for the patched numbering; the interned diagrams stay.
+    monkeypatch.setattr(ladder, "_build_reduced", functools.lru_cache(ladder.LadderDiagram))
+    monkeypatch.setattr(
+        ladder, "_face_arrays", functools.lru_cache(ladder._face_arrays.__wrapped__)
+    )
+    d = build_diagram(comp)
+    assert d.record_position == tuple(range(d.num_edges))
+    with pytest.raises(AssertionError, match="out-of-order or duplicate masks"):
+        enumerate_faces(d)
 
 
 def test_is_face_full_diagram():

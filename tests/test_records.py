@@ -5,7 +5,7 @@ import pytest
 
 from gcladder import records
 from gcladder.genfunc import verify_generating_pde
-from gcladder.ladder import DiagramFace, build_diagram, enumerate_faces
+from gcladder.ladder import DiagramFace, build_diagram, compositions_of, enumerate_faces
 from gcladder.polytope import Spectrum, verify_isomorphism
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "fvectors_n6.json"
@@ -30,6 +30,39 @@ def test_face_record_rejects_non_face():
     }
     with pytest.raises(ValueError):
         records.face_from_record(rec)
+
+
+def test_face_records_round_trip_up_to_n5():
+    # 78,845 faces, most in diagrams whose record order differs from the library's
+    for n in range(1, 6):
+        for comp in compositions_of(n):
+            for face in enumerate_faces(build_diagram(comp)):
+                back = records.face_from_record(records.face_record(face))
+                assert back == face and back.dim == face.dim
+
+
+@pytest.mark.parametrize("comp", [(1, 1), (2, 1, 2), (1, 1, 1, 1)])
+def test_face_list_record_goes_by_increasing_record_mask(comp):
+    faces = enumerate_faces(build_diagram(comp))
+    listed = records.face_list_record(faces)["faces"]
+    hexes = [int(rec["edges_hex"], 16) for rec in listed]
+    assert all(a < b for a, b in zip(hexes, hexes[1:]))
+    assert len(listed) == len(faces)
+    assert sorted(map(records.face_record, faces), key=lambda r: r["edges_hex"]) == listed
+
+
+@pytest.mark.parametrize("comp", [(1, 1), (1, 2, 1)])
+def test_face_record_refuses_non_faces_and_stray_bits(comp):
+    d = build_diagram(comp)
+    base = {"format": records.FACE_FORMAT, "version": records.VERSION, "composition": list(comp)}
+    # every single edge is no face of a diagram with n >= 2
+    for p in range(d.num_edges):
+        with pytest.raises(ValueError, match="does not describe a face"):
+            records.face_from_record({**base, "edges_hex": f"{1 << p:x}"})
+    top = int(records.face_record(DiagramFace(d, d.full_mask))["edges_hex"], 16)
+    for stray in (1 << d.num_edges, 1 << d.num_edges + 5):
+        with pytest.raises(ValueError, match="outside the diagram"):
+            records.face_from_record({**base, "edges_hex": f"{top | stray:x}"})
 
 
 def test_face_record_checks_dimension():
