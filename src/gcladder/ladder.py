@@ -10,12 +10,16 @@ of length n.
 A *face* of the diagram is an edge subset that covers every terminal corner
 and is a union of such origin-to-terminal paths; its dimension is its cycle
 rank.  Faces are stored as bit vectors over a canonical band-major edge
-numbering: edges sorted by the anti-diagonal a + b of their head, then
-horizontal before vertical, then by head.  That makes the lattice operations
-integer bit arithmetic, and it puts every edge that ends on a line a + b = m
-above every edge that ends below it.  Records and the CLI write masks in a
-second numbering, horizontal edges first and then vertical, each block by
-head (``LadderDiagram.record_position`` maps one to the other; see ``records``).
+numbering: edges by the anti-diagonal a + b of their head, then horizontal
+before vertical, then by head.  That makes the lattice operations integer
+bit arithmetic, and it puts every edge that ends on a line a + b = m above
+every edge that ends below it.  It is also a topological order, so the path
+pass walks the edges by index.  Records and the CLI write masks in a second
+numbering, horizontal edges first and then vertical, each block by head
+(``LadderDiagram.record_position`` maps one to the other; see ``records``).
+The diagram writes both orders band by band and column by column, with no
+sort; ``_edge_key`` and ``_record_key`` state them as sort keys for the
+tests.
 
 Two independent enumerators are provided: ``enumerate_faces`` recurses over
 assignment words (attaching the terminal-edge gadget of each word to every
@@ -39,7 +43,10 @@ face: a table is its words' child tables laid end to end by gadget, with no
 sort.  The words come from ``words.branch_walk``, the one walk of the
 composition's letters, which ``_branches`` feeds the corner edges of
 ``_corner_bits``: it yields each word's gadget and weight as one step,
-grouped by child.  Only the requested composition's table is memoized.
+grouped by child.  Each chain of branches ends at a one-part composition
+(m), whose diagram is its two axis paths and whose one face, of dimension
+0, is a single key written directly, with no walk.  Only the requested
+composition's table is memoized.
 """
 
 from __future__ import annotations
@@ -89,12 +96,41 @@ def _record_key(edge):
     return ta == head[0], head
 
 
+def _band_major_edges(heights, bands):
+    """The edges of a diagram in band-major order, and each edge's position
+    in the record order.
+
+    ``heights`` are the column heights and ``bands`` the points of each
+    anti-diagonal by a.  The edges are written band by band: the horizontal
+    in-edges by head, then the vertical ones.  The record order numbers the
+    horizontal edges column by column from the offsets ``hoff``, then the
+    vertical ones from ``voff``.  ``_edge_key`` and ``_record_key`` specify
+    both orders.
+    """
+    hoff = [0, *itertools.accumulate(h + 1 for h in heights[1:])]
+    voff = [*itertools.accumulate(heights, initial=hoff[-1])]
+    edges = []
+    record = []
+    for band in bands[1:]:
+        for a, b in band:
+            if a:
+                edges.append(((a - 1, b), (a, b)))
+                record.append(hoff[a - 1] + b)
+        for a, b in band:
+            if b:
+                edges.append(((a, b - 1), (a, b)))
+                record.append(voff[a] + b - 1)
+    return edges, record
+
+
 class LadderDiagram:
     """The grid graph of a reduced composition, with canonical edge indexing.
 
     ``edges`` is in band-major order (``_edge_key``), and
     ``record_position[e]`` is edge e's index in the record order
-    (``_record_key``) that ``records`` writes.
+    (``_record_key``) that ``records`` writes.  Both are written directly
+    by ``_band_major_edges``, not sorted, and ``vertices`` go by
+    anti-diagonal, then by a.
 
     Instances are interned per reduced composition (see ``build_diagram``),
     immutable after construction, and safe to share across threads.
@@ -111,7 +147,6 @@ class LadderDiagram:
         "edge_index",
         "edge_tails",
         "edge_heads",
-        "edges_topo",
         "record_position",
         "origin_index",
         "terminal_indices",
@@ -135,38 +170,26 @@ class LadderDiagram:
         # origin as its single (terminal) vertex.
         self.terminals = tuple((m, n - m) for m in sums)
 
-        # Column heights: for column a, points up to n - min{partial sum >= a}.
-        def height(a):
-            for m in sums:
-                if m >= a:
-                    return n - m
-            raise AssertionError
-
-        verts = [
-            (a, b) for a in range(n + 1) for b in range(height(a) + 1)
+        # Column heights: column a holds the points up to n - min{partial
+        # sum >= a}.  They do not increase, so every point with a > 0 has a
+        # horizontal in-edge and every point with b > 0 a vertical one.
+        heights = [n, *(n - m for lo, m in zip(sums, sums[1:]) for _ in range(lo, m))]
+        # The points on each anti-diagonal a + b = d, by a.
+        bands = [
+            [(a, d - a) for a in range(d + 1) if d - a <= heights[a]]
+            for d in range(n + 1)
         ]
-        verts.sort(key=lambda v: (v[0] + v[1], v[0]))  # topological order
+        verts = [v for band in bands for v in band]  # topological order
         self.vertices = tuple(verts)
         self.vertex_index = {v: i for i, v in enumerate(verts)}
         vset = self.vertex_index
 
-        edges = tuple(sorted(
-            (
-                ((a, b), head)
-                for (a, b) in vset
-                for head in ((a + 1, b), (a, b + 1))
-                if head in vset
-            ),
-            key=_edge_key,
-        ))
-        self.edges = edges
+        edges, record = _band_major_edges(heights, bands)
+        self.edges = tuple(edges)
         self.edge_index = {e: i for i, e in enumerate(edges)}
-        record = {e: i for i, e in enumerate(sorted(edges, key=_record_key))}
-        self.record_position = tuple(record[e] for e in edges)
+        self.record_position = tuple(record)
         self.edge_tails = tuple(vset[e[0]] for e in edges)
         self.edge_heads = tuple(vset[e[1]] for e in edges)
-        order = sorted(range(len(edges)), key=lambda e: sum(edges[e][0]))
-        self.edges_topo = tuple(order)
         self.origin_index = vset[(0, 0)]
         self.terminal_indices = tuple(vset[t] for t in self.terminals)
         in_edges = [[] for _ in verts]
@@ -289,24 +312,26 @@ def _bits(mask):
 
 def _path_edges(diagram, mask):
     """The edges of ``mask`` that lie on an origin-to-terminal path inside
-    ``mask``: one forward and one backward reachability pass.
+    ``mask``: one forward and one backward reachability pass over its edges
+    by index, since band-major order is topological.
 
     Every edge of a path through a kept edge is kept too, so the result is
     its own image: one pass is the fixed point.
     """
     tails, heads = diagram.edge_tails, diagram.edge_heads
+    present = list(_bits(mask))
     fwd = [False] * len(diagram.vertices)
     fwd[diagram.origin_index] = True
-    for e in diagram.edges_topo:
-        if mask >> e & 1 and fwd[tails[e]]:
+    for e in present:
+        if fwd[tails[e]]:
             fwd[heads[e]] = True
     bwd = [False] * len(diagram.vertices)
     for t in diagram.terminal_indices:
         bwd[t] = True
-    for e in reversed(diagram.edges_topo):
-        if mask >> e & 1 and bwd[heads[e]]:
+    for e in reversed(present):
+        if bwd[heads[e]]:
             bwd[tails[e]] = True
-    return sum(1 << e for e in _bits(mask) if fwd[tails[e]] and bwd[heads[e]])
+    return sum(1 << e for e in present if fwd[tails[e]] and bwd[heads[e]])
 
 
 def _covers_terminals(diagram, mask):
@@ -463,7 +488,7 @@ def _face_arrays(comp):
     low = np.int64((1 << shift) - 1)
     for lo in range(0, keys.size, FACE_CHUNK):
         hi = lo + FACE_CHUNK
-        dims[lo:hi] = keys[lo:hi] & low
+        np.bitwise_and(keys[lo:hi], low, out=dims[lo:hi], casting="unsafe")
     masks = np.right_shift(keys, np.int64(shift), out=keys)
     # The masks must increase strictly: no face twice, and the branches laid
     # end to end in order, as the band-major numbering makes them.  Each
@@ -507,21 +532,31 @@ def _sub_faces(d, comp, shift, tables):
     got = tables.get(comp)
     if got is not None:
         return got
+    if len(comp) == 1:
+        # The base case: the diagram of (m) is its two axis paths, and that
+        # edge set, of dimension 0, is its only face.
+        index = d.edge_index
+        mask = 0
+        for i in range(comp[0]):
+            mask |= 1 << index[((i, 0), (i + 1, 0))] | 1 << index[((0, i), (0, i + 1))]
+        keys = tables[comp] = np.array([mask << shift], dtype=np.int64)
+        return keys
     # One walk of the letters gives every word's step, grouped by child, so
     # each distinct child is looked up once.  The gadget's bits lie outside
     # every child mask, and a child dim plus the word's weight stays below
     # 2^shift, so one add of a step sets both fields with no carry.
     branches = []
+    size = 0
     for child, steps in _branches(d, comp, shift).items():
         ckeys = _sub_faces(d, child, shift, tables)
         branches.extend((step, ckeys) for step in steps)
+        size += len(steps) * len(ckeys)
     # Gadget edges end on the line a + b = n of ``comp``, and the child's
     # edges below it, so in the band-major numbering each gadget outranks
     # every child mask.  The words' gadgets differ, so laid out by step,
     # which orders them by gadget, the branches are one increasing table;
     # ``_face_arrays`` checks that it is.
     branches.sort(key=operator.itemgetter(0))
-    size = sum(len(ckeys) for _, ckeys in branches)
     if size > MAX_FACES:
         raise ValueError(
             f"composition {comp} has {size} faces; array enumeration is capped "
@@ -531,7 +566,7 @@ def _sub_faces(d, comp, shift, tables):
     lo = 0
     for step, ckeys in branches:
         hi = lo + len(ckeys)
-        np.add(ckeys, np.int64(step), out=keys[lo:hi])
+        np.add(ckeys, step, out=keys[lo:hi])
         lo = hi
     tables[comp] = keys
     return keys

@@ -15,12 +15,13 @@ and ``face_from_record`` reads it back.  Face lists (``face_list_record``,
 offending face by its index in library order, with its mask in record form.
 """
 
+import functools
 import json
 
 import numpy as np
 
 from .genfunc import f_polynomial
-from .ladder import FACE_CHUNK, DiagramFace, build_diagram, compositions_of, is_face
+from .ladder import FACE_CHUNK, DiagramFace, build_diagram, compositions_of
 
 FACE_FORMAT = "gcladder/face"
 FACE_LIST_FORMAT = "gcladder/faces"
@@ -69,6 +70,14 @@ def face_record(face):
     return _face_dict(face.diagram, hex_mask(face.diagram, face.mask), face.dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _library_positions(diagram):
+    # The inverse of ``diagram.record_position``, made once per interned
+    # diagram: record bit i is library bit _library_positions(diagram)[i].
+    position = diagram.record_position
+    return tuple(sorted(range(len(position)), key=position.__getitem__))
+
+
 def face_from_record(record):
     if record.get("format") != FACE_FORMAT or record.get("version") != VERSION:
         raise ValueError(f"not a version-{VERSION} face record")
@@ -76,14 +85,16 @@ def face_from_record(record):
     record_mask = int(record["edges_hex"], 16)
     if record_mask >> diagram.num_edges:
         raise ValueError("edge subset uses bits outside the diagram")
-    position = diagram.record_position
-    mask = _moved(record_mask, sorted(range(len(position)), key=position.__getitem__))
-    if not is_face(diagram, mask):
-        raise ValueError("record does not describe a face")
-    face = DiagramFace(diagram, mask)
-    if "dim" in record and face.dim != record["dim"]:
+    face = DiagramFace(diagram, _moved(record_mask, _library_positions(diagram)))
+    # One recognizer pass per record: ``face_dimension`` checks the face
+    # before it counts, and ``face.dim`` keeps the count.
+    try:
+        dim = face.dim
+    except ValueError:
+        raise ValueError("record does not describe a face") from None
+    if "dim" in record and dim != record["dim"]:
         raise ValueError(
-            f"recorded dimension {record['dim']} disagrees with {face.dim}"
+            f"recorded dimension {record['dim']} disagrees with {dim}"
         )
     return face
 

@@ -107,12 +107,48 @@ def test_edge_order_canonical():
             assert int(records.hex_mask(d, d.edge_bit(*edge)), 16) == 1 << p, (comp, edge)
 
 
+# The diagram's orders are written directly; they are checked against their
+# sort specification on every composition with n <= DIAGRAM_MAX_N: 9 in
+# tier-1, and CI sets GCLADDER_DIAGRAM_MAX_N=12.
+DIAGRAM_MAX_N = int(os.environ.get("GCLADDER_DIAGRAM_MAX_N", "9"))
+
+
+@pytest.mark.parametrize("n", range(DIAGRAM_MAX_N + 1))
+def test_diagram_orders_match_their_sort_specification(n):
+    for comp in compositions_of(n):
+        d = ladder.LadderDiagram(comp)
+        # the points weakly below-left of a terminal, and the unit steps
+        # between them
+        points = {
+            (a, b) for ta, tb in d.terminals for a in range(ta + 1) for b in range(tb + 1)
+        }
+        steps = {
+            ((a, b), head)
+            for a, b in points
+            for head in ((a + 1, b), (a, b + 1))
+            if head in points
+        }
+        assert set(d.vertices) == points and len(d.vertices) == len(points), comp
+        assert d.vertices == tuple(sorted(points, key=lambda v: (v[0] + v[1], v[0]))), comp
+        assert set(d.edges) == steps and len(d.edges) == len(steps), comp
+        assert list(d.edges) == sorted(d.edges, key=ladder._edge_key), comp
+        ranks = {e: i for i, e in enumerate(sorted(d.edges, key=ladder._record_key))}
+        assert d.record_position == tuple(ranks[e] for e in d.edges), comp
+
+
 # In the record order a gadget's bits fall between its child's bits, so for
 # these compositions the branches laid end to end are out of order; the
 # enumerator must refuse that table rather than return it.
 @pytest.mark.parametrize("comp", [(1, 2), (1, 1, 1), (2, 2, 1)])
 def test_enumeration_refuses_edges_out_of_band_order(monkeypatch, comp):
-    monkeypatch.setattr(ladder, "_edge_key", ladder._record_key)
+    band_major_edges = ladder._band_major_edges
+
+    def record_ordered_edges(heights, bands):
+        edges, _ = band_major_edges(heights, bands)
+        edges.sort(key=ladder._record_key)
+        return edges, range(len(edges))
+
+    monkeypatch.setattr(ladder, "_band_major_edges", record_ordered_edges)
     # Fresh memos for the patched numbering; the interned diagrams stay.
     monkeypatch.setattr(ladder, "_build_reduced", functools.lru_cache(ladder.LadderDiagram))
     monkeypatch.setattr(
@@ -667,14 +703,16 @@ def reference_meet(f1, f2):
     # every surviving origin-to-terminal path until nothing changes, then
     # ask the recognizer.
     d = f1.diagram
+    # A topological order of its own: by the anti-diagonal of the tail.
+    topo = sorted(range(d.num_edges), key=lambda e: sum(d.edges[e][0]))
     mask = f1.mask & f2.mask
     while True:
         fwd = {d.origin_index}
-        for e in d.edges_topo:
+        for e in topo:
             if mask >> e & 1 and d.edge_tails[e] in fwd:
                 fwd.add(d.edge_heads[e])
         bwd = set(d.terminal_indices)
-        for e in reversed(d.edges_topo):
+        for e in reversed(topo):
             if mask >> e & 1 and d.edge_heads[e] in bwd:
                 bwd.add(d.edge_tails[e])
         kept = sum(
