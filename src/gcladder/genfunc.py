@@ -3,14 +3,18 @@ differential operators acting on them.
 
 The f-polynomial of a composition counts faces of its ladder diagram by
 dimension.  It satisfies a recursion over assignment words, which is what
-``f_polynomial`` evaluates, one term per distinct child composition:
-``words.child_groups`` merges the words by child and counts them by
-weight, through the one walk of the letters, ``words.branch_walk``.  The
-memo holds reduced compositions, with the empty composition as base case
-F = 1.  The requested composition is computed and memoized as given; every
-child is looked up as the smaller of itself and its reverse, one entry per
-reversal pair, since reversing a composition transposes its diagram
-(``ladder.transpose_face``) and leaves F unchanged.
+``f_polynomial`` evaluates: F_k(t) = sum over words w of t^|w| F_child(w).
+``words.child_groups`` merges the words by child through the one walk of
+the letters, ``words.branch_walk``, and counts them by weight in one
+packed int per child, the count of weight i at bits slot * i
+(``words.count_slot``).  The memo holds reduced compositions, with the
+empty composition as base case F = 1.  The requested composition is
+computed and memoized as given; every child is looked up as the smaller
+of itself and its reverse, one entry per reversal pair, since reversing a
+composition transposes its diagram (``ladder.transpose_face``) and leaves
+F unchanged.  So a child's packed counts are first added to its reverse's
+under that key, and each key is unpacked and merged into the polynomial
+once.
 
 The exponential generating function of the f-polynomials has F_k(t)/k!
 as its coefficient of x^k.  ``DiffOperator`` implements exact
@@ -40,6 +44,7 @@ import numpy as np
 from .words import (
     all_words,
     child_groups,
+    count_slot,
     d_transform,
     interleave,
     r_transform,
@@ -146,17 +151,29 @@ def _f_polynomial_reduced(comp):
         return TPoly.ONE
     # F_comp = sum over words w of t^|w| F_child(w), one term per child.
     # F is invariant under reversal (the diagram's transpose), so a child
-    # and its reverse share the memo entry of the smaller of the two.
+    # and its reverse share the memo entry of the smaller of the two, and
+    # their packed counts are added before the one term is merged.
+    merged = {}
+    for child, packed in child_groups(comp).items():
+        key = min(child, child[::-1])
+        merged[key] = merged.get(key, 0) + packed
+    slot = count_slot(len(comp))
+    low = (1 << slot) - 1
     acc = []
-    for child, counts in child_groups(comp).items():
-        coeffs = _f_polynomial_reduced(min(child, child[::-1])).coeffs
-        size = len(counts) + len(coeffs) - 1
+    for key, packed in merged.items():
+        coeffs = _f_polynomial_reduced(key).coeffs
+        # one count per slot, the top slot possibly partly filled
+        size = -(-packed.bit_length() // slot) + len(coeffs) - 1
         if len(acc) < size:
             acc.extend([0] * (size - len(acc)))
-        for i, c in enumerate(counts):
+        i = 0
+        while packed:
+            c = packed & low
             if c:
                 for j, f in enumerate(coeffs, i):
                     acc[j] += c * f
+            packed >>= slot
+            i += 1
     return TPoly(acc)
 
 
@@ -403,19 +420,17 @@ def interleaved_y_vars(s):
 
 def word_operator(s, w):
     """The operator monomial attached to an assignment word, acting on a
-    series in 2s-1 interleaved variables."""
-    m = 2 * s - 1
-    xv = interleaved_x_vars(s)
-    yv = interleaved_y_vars(s)
-    op = DiffOperator.identity(m)
-    for i, (alpha, beta) in enumerate(w, start=1):
+    series in 2s-1 interleaved variables: t^|w| times one derivative per
+    letter, d/dx_i for UP, d/dx_{i+1} for RIGHT and d/dy_i for BOTH."""
+    orders = [0] * (2 * s - 1)
+    for i, (alpha, beta) in enumerate(w):
         if alpha == 0:
-            op = op * DiffOperator.partial(m, xv[i - 1])
+            orders[2 * i] += 1
         if beta == 0:
-            op = op * DiffOperator.partial(m, xv[i])
+            orders[2 * i + 2] += 1
         if alpha and beta:
-            op = op * DiffOperator.t_times(m) * DiffOperator.partial(m, yv[i - 1])
-    return op
+            orders[2 * i + 1] += 1
+    return DiffOperator(2 * s - 1, {(word_weight(w), tuple(orders)): 1})
 
 
 def interaction_product(s):

@@ -220,7 +220,8 @@ def _containing(holders, mask, everything):
 
 
 def _dot(row, vector):
-    return sum(a * b for a, b in zip(row, vector))
+    # ``row`` as (index, coefficient) pairs of its nonzero entries
+    return sum(a * vector[i] for i, a in row)
 
 
 def _project(vector, scale, weight, pivot):
@@ -245,6 +246,7 @@ def _extreme_rays(rows, dim):
     are adjacent iff no third ray is tight on all rows both are tight on
     (Fukuda & Prodon, Proposition 7), which needs dim - 2 such rows.
     """
+    rows = [tuple((i, a) for i, a in enumerate(row) if a) for row in rows]
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []
     applied = 0
@@ -268,10 +270,14 @@ def _extreme_rays(rows, dim):
         row, bit = rows[c], 1 << c
         signs = [_dot(row, v) for v, _ in rays]
         kept = [(v, z | bit if s == 0 else z) for (v, z), s in zip(rays, signs) if s >= 0]
-        holders = _holders([z for _, z in rays])
-        everything = (1 << len(rays)) - 1
         positive = [i for i, s in enumerate(signs) if s > 0]
         negative = [j for j, s in enumerate(signs) if s < 0]
+        if not (positive and negative):
+            # no ray on one side: the row only marks its tight rays
+            rays = kept
+            continue
+        holders = _holders([z for _, z in rays])
+        everything = (1 << len(rays)) - 1
         for i, j in product(positive, negative):
             (vi, zi), (vj, zj) = rays[i], rays[j]
             common = zi & zj

@@ -38,7 +38,22 @@ def dumps(obj):
 
 
 def _moved(masks, moves):
-    """``masks`` (an int or an int64 array) with bit i moved to bit moves[i]."""
+    """``masks`` (an int or an int64 array) with bit i moved to bit moves[i],
+    where ``moves`` permutes the diagram's edges.
+
+    An int walks only the set bits of itself or of its complement, whichever
+    has fewer: a permutation moves the complement onto the complement of
+    the image.  An array moves every edge's bit column.
+    """
+    if isinstance(masks, int):
+        flip = (1 << len(moves)) - 1 if 2 * masks.bit_count() > len(moves) else 0
+        masks ^= flip
+        out = 0
+        while masks:
+            low = masks & -masks
+            out |= 1 << moves[low.bit_length() - 1]
+            masks ^= low
+        return out ^ flip
     out = masks & 0
     for i, j in enumerate(moves):
         out |= (masks >> i & 1) << j

@@ -115,16 +115,9 @@ def child_composition(comp, w):
     return child
 
 
-def _add_counts(table, key, counts, shift):
-    # table[key] += t^shift * counts, on lists of word counts by weight
-    acc = table.get(key)
-    if acc is None:
-        table[key] = [0] * shift + counts
-        return
-    if len(acc) < shift + len(counts):
-        acc.extend([0] * (shift + len(counts) - len(acc)))
-    for i, c in enumerate(counts, shift):
-        acc[i] += c
+def _add_shifted(table, key, acc, shift):
+    # table[key] += acc << shift, on packed word counts
+    table[key] = table.get(key, 0) + (acc << shift)
 
 
 def branch_walk(comp, start, values, merge):
@@ -168,13 +161,26 @@ def branch_walk(comp, start, values, merge):
     return children
 
 
+def count_slot(s):
+    """Bits per weight in the packed counts of ``child_groups`` for a
+    composition with s parts: the bit length of 3^(s-1), the number of words.
+
+    No count exceeds the number of words, even summed over a child and its
+    reverse, so no slot carries into the next.
+    """
+    return (3 ** (s - 1)).bit_length()
+
+
 def child_groups(comp):
     """The branches of the face recursion of ``comp``, merged by child.
 
-    Returns {child composition: counts}, where counts[i] is the number of
-    words of weight i whose branch has that child; this is the multiset of
-    (``child_composition(comp, w)``, ``word_weight(w)``) over all words,
-    from ``branch_walk``.  ``comp`` must be reduced and non-empty.
+    Returns {child composition: packed counts}: with slot =
+    ``count_slot(len(comp))``, the bits from slot * i of the packed int
+    count the words of weight i whose branch has that child.  This is the
+    multiset of (``child_composition(comp, w)``, ``word_weight(w)``) over
+    all words, from ``branch_walk``: a BOTH letter shifts a state's counts
+    up one slot, and merging is one integer add.  ``comp`` must be reduced
+    and non-empty.
     """
-    weights = {RIGHT: 0, UP: 0, BOTH: 1}
-    return branch_walk(comp, [1], [weights] * (len(comp) - 1), _add_counts)
+    shifts = {RIGHT: 0, UP: 0, BOTH: count_slot(len(comp))}
+    return branch_walk(comp, 1, [shifts] * (len(comp) - 1), _add_shifted)

@@ -1,6 +1,8 @@
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gcladder import records
@@ -39,6 +41,23 @@ def test_face_records_round_trip_up_to_n5():
             for face in enumerate_faces(build_diagram(comp)):
                 back = records.face_from_record(records.face_record(face))
                 assert back == face and back.dim == face.dim
+
+
+@pytest.mark.parametrize("comp", [(1, 1), (2, 1, 2), (1, 1, 1, 1), (1, 2, 1, 1, 1)])
+def test_moved_int_matches_the_array_path(comp):
+    # an int walks the sparser of its set bits and its complement's; the
+    # array path moves every bit column
+    d = build_diagram(comp)
+    rng = random.Random(0)
+    edges = list(range(d.num_edges))
+    masks = [
+        sum(1 << e for e in rng.sample(edges, size))
+        for size in range(d.num_edges + 1)
+        for _ in range(3)
+    ]
+    for moves in (d.record_position, records._library_positions(d)):
+        by_array = records._moved(np.array(masks, dtype=np.int64), moves).tolist()
+        assert [records._moved(m, moves) for m in masks] == by_array
 
 
 @pytest.mark.parametrize("comp", [(1, 1), (2, 1, 2), (1, 1, 1, 1)])

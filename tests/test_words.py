@@ -1,6 +1,7 @@
 import os
 from collections import Counter
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from gcladder.words import (
     branch_walk,
     child_composition,
     child_groups,
+    count_slot,
     d_transform,
     interleave,
     letter_step,
@@ -142,6 +144,11 @@ def test_child_composition_interleaves_the_transforms():
             assert child_composition(comp, w) == want
 
 
+def _unpack(packed, slot):
+    # counts by weight, lowest first, up to the top (possibly partial) slot
+    return [packed >> i & (1 << slot) - 1 for i in range(0, packed.bit_length(), slot)]
+
+
 @pytest.mark.parametrize("n", range(1, BRANCH_MAX_N + 1))
 def test_child_groups_merge_the_words(n):
     for comp in compositions_of(n):
@@ -149,16 +156,23 @@ def test_child_groups_merge_the_words(n):
             (child_composition(comp, w), word_weight(w))
             for w in all_words(len(comp) - 1)
         )
+        slot = count_slot(len(comp))
+        groups = {child: _unpack(packed, slot) for child, packed in child_groups(comp).items()}
         got = Counter(
             {
                 (child, weight): count
-                for child, counts in child_groups(comp).items()
+                for child, counts in groups.items()
                 for weight, count in enumerate(counts)
                 if count
             }
         )
         assert got == want, comp
-        assert all(counts[-1] for counts in child_groups(comp).values())
+        assert all(counts[-1] for counts in groups.values())
+        # no slot carries even in the sum over all children, where each
+        # weight i counts all C(s-1, i) 2^(s-1-i) words of that weight
+        s = len(comp)
+        total = [comb(s - 1, i) * 2 ** (s - 1 - i) for i in range(s)]
+        assert _unpack(sum(child_groups(comp).values()), slot) == total, comp
 
 
 def _append_letter(table, key, words, letter):
