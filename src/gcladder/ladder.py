@@ -15,11 +15,9 @@ before vertical, then by head.  That makes the lattice operations integer
 bit arithmetic, and it puts every edge that ends on a line a + b = m above
 every edge that ends below it.  It is also a topological order, so the path
 pass walks the edges by index.  Records and the CLI write masks in a second
-numbering, horizontal edges first and then vertical, each block by head
-(``LadderDiagram.record_position`` maps one to the other; see ``records``).
-The diagram writes both orders band by band and column by column, with no
-sort; ``_edge_key`` and ``_record_key`` state them as sort keys for the
-tests.
+numbering, horizontal edges first and then vertical, each block by head;
+``records`` derives that map.  The diagram writes its edges band by band,
+with no sort; ``_edge_key`` states the order as a sort key for the tests.
 
 Two independent enumerators are provided: ``enumerate_faces`` recurses over
 assignment words (attaching the terminal-edge gadget of each word to every
@@ -90,47 +88,26 @@ def _edge_key(edge):
     return sum(head), ta == head[0], head
 
 
-def _record_key(edge):
-    # Record order: horizontals sorted by head, then verticals likewise.
-    (ta, _), head = edge
-    return ta == head[0], head
+def _band_major_edges(bands):
+    """The edges of a diagram in band-major order (``_edge_key``).
 
-
-def _band_major_edges(heights, bands):
-    """The edges of a diagram in band-major order, and each edge's position
-    in the record order.
-
-    ``heights`` are the column heights and ``bands`` the points of each
-    anti-diagonal by a.  The edges are written band by band: the horizontal
-    in-edges by head, then the vertical ones.  The record order numbers the
-    horizontal edges column by column from the offsets ``hoff``, then the
-    vertical ones from ``voff``.  ``_edge_key`` and ``_record_key`` specify
-    both orders.
+    ``bands`` are the points of each anti-diagonal by a.  The edges are
+    written band by band: the horizontal in-edges by head, then the vertical
+    ones.
     """
-    hoff = [0, *itertools.accumulate(h + 1 for h in heights[1:])]
-    voff = [*itertools.accumulate(heights, initial=hoff[-1])]
     edges = []
-    record = []
     for band in bands[1:]:
-        for a, b in band:
-            if a:
-                edges.append(((a - 1, b), (a, b)))
-                record.append(hoff[a - 1] + b)
-        for a, b in band:
-            if b:
-                edges.append(((a, b - 1), (a, b)))
-                record.append(voff[a] + b - 1)
-    return edges, record
+        edges.extend(((a - 1, b), (a, b)) for a, b in band if a)
+        edges.extend(((a, b - 1), (a, b)) for a, b in band if b)
+    return edges
 
 
 class LadderDiagram:
     """The grid graph of a reduced composition, with canonical edge indexing.
 
-    ``edges`` is in band-major order (``_edge_key``), and
-    ``record_position[e]`` is edge e's index in the record order
-    (``_record_key``) that ``records`` writes.  Both are written directly
-    by ``_band_major_edges``, not sorted, and ``vertices`` go by
-    anti-diagonal, then by a.
+    ``edges`` is in band-major order (``_edge_key``), written directly by
+    ``_band_major_edges``, not sorted, and ``vertices`` go by anti-diagonal,
+    then by a.
 
     Instances are interned per reduced composition (see ``build_diagram``),
     immutable after construction, and safe to share across threads.
@@ -142,12 +119,10 @@ class LadderDiagram:
         "s",
         "terminals",
         "vertices",
-        "vertex_index",
         "edges",
         "edge_index",
         "edge_tails",
         "edge_heads",
-        "record_position",
         "origin_index",
         "terminal_indices",
         "terminal_in_masks",
@@ -181,13 +156,11 @@ class LadderDiagram:
         ]
         verts = [v for band in bands for v in band]  # topological order
         self.vertices = tuple(verts)
-        self.vertex_index = {v: i for i, v in enumerate(verts)}
-        vset = self.vertex_index
+        vset = {v: i for i, v in enumerate(verts)}
 
-        edges, record = _band_major_edges(heights, bands)
+        edges = _band_major_edges(bands)
         self.edges = tuple(edges)
         self.edge_index = {e: i for i, e in enumerate(edges)}
-        self.record_position = tuple(record)
         self.edge_tails = tuple(vset[e[0]] for e in edges)
         self.edge_heads = tuple(vset[e[1]] for e in edges)
         self.origin_index = vset[(0, 0)]

@@ -506,14 +506,14 @@ def psi(diagram, face, system):
 _CHUNK = 1 << 18
 
 
-def _witness(sys, masks):
-    """The witness points of the diagram faces with these edge masks:
+def _witness(sys, present):
+    """The witness points of diagram faces, given whether each face holds
+    each constraint's paired edge (a boolean faces x constraints array):
     x_{i,j} is x_{i,j+1} if the face lacks the horizontal edge into (i, j),
     else x_{i+1,j} if it lacks the vertical one, else their mean.
 
     Returns {(i, j): int64 column} over the free entries and the top row,
-    times 2^n times the lcm of the spectrum's denominators; that scale; and
-    whether each mask holds each constraint's paired edge (boolean).
+    times 2^n times the lcm of the spectrum's denominators, and that scale.
     """
     n, d, values = sys.n, sys.d, sys.spectrum.values
     scale = (1 << n) * lcm(*(v.denominator for v in values))
@@ -523,24 +523,24 @@ def _witness(sys, masks):
             f"witness points need |lambda_i| * 2^n * lcm(denominators) below "
             f"2^62; here the scale is {scale}"
         )
-    present = masks[:, None] & np.array(edge_bits(sys), np.int64) != 0
     x = {
-        (i, n + 1 - i): np.broadcast_to(np.int64(v), len(masks)) for i, v in enumerate(top, 1)
+        (i, n + 1 - i): np.broadcast_to(np.int64(v), len(present)) for i, v in enumerate(top, 1)
     }
     # By decreasing i + j, so that both neighbours of (i, j) come first.
     for t, (i, j) in sorted(enumerate(sys.index_set), key=lambda tp: -sum(tp[1])):
         above, below = x[i, j + 1], x[i + 1, j]
         mean = np.where(present[:, d + t], (above + below) >> 1, below)
         x[i, j] = np.where(present[:, t], mean, above)
-    return x, scale, present
+    return x, scale
 
 
 def _witness_signs(sys, masks):
-    """Sign of each constraint at each mask's witness point (int8), and the
-    presence array of ``_witness``.  The witness test accepts a mask where
-    the two agree: the point is feasible, and strict exactly where the
+    """Sign of each constraint at each int64 mask's witness point (int8),
+    and the presence array of ``_witness``.  The witness test accepts a mask
+    where the two agree: the point is feasible, and strict exactly where the
     mask holds the paired edge."""
-    x, _, present = _witness(sys, masks)
+    present = masks[:, None] & np.array(edge_bits(sys), np.int64) != 0
+    x, _ = _witness(sys, present)
     signs = np.empty(present.shape, np.int8)
     for t, (i, j) in enumerate(sys.index_set):
         signs[:, t] = np.sign(x[i, j + 1] - x[i, j])
@@ -554,7 +554,10 @@ def representative_point(face, spectrum):
     matching polytope face."""
     if spectrum.composition != face.diagram.composition:
         raise ValueError("spectrum and face compositions differ")
-    x, scale, _ = _witness(GCSystem(spectrum), np.array([face.mask], np.int64))
+    sys = GCSystem(spectrum)
+    # One row from the Python-int mask, so a face of any width has a point.
+    present = np.array([[face.mask & bit != 0 for bit in edge_bits(sys)]], dtype=bool)
+    x, scale = _witness(sys, present)
     return {p: Fraction(int(column[0]), scale) for p, column in x.items()}
 
 
@@ -580,14 +583,18 @@ def witness_violations(faces, spectrum):
     def named(f):
         return f"face #{f} (0x{hex_mask(diagram, int(masks[f]))})"
 
-    problems = []
-    unsorted = np.flatnonzero(masks[1:] <= masks[:-1])
-    if unsorted.size:
-        problems.append(f"{named(unsorted[0] + 1)} does not follow a smaller mask")
-    edges = np.int64(diagram.full_mask)
-    stray = np.flatnonzero((masks | np.int64(diagram.axes_mask)) & edges != masks)
-    if stray.size:
-        problems.append(f"{named(stray[0])} lacks an axis edge or has a bit past the edges")
+    # The order and the bits, one chunk at a time, keeping each chunk's first
+    # offender.  A chunk is compared with its successor's first mask too, so
+    # the pairs across chunk boundaries are checked.
+    unsorted, stray = [], []
+    edges, axes = np.int64(diagram.full_mask), np.int64(diagram.axes_mask)
+    for lo in range(0, len(masks), _CHUNK):
+        chunk = masks[lo : lo + _CHUNK + 1]
+        unsorted.extend(np.flatnonzero(chunk[1:] <= chunk[:-1])[:1] + lo + 1)
+        chunk = chunk[:_CHUNK]
+        stray.extend(np.flatnonzero((chunk | axes) & edges != chunk)[:1] + lo)
+    problems = [f"{named(f)} does not follow a smaller mask" for f in unsorted[:1]]
+    problems += [f"{named(f)} lacks an axis edge or has a bit past the edges" for f in stray[:1]]
     for lo in range(0, len(masks), _CHUNK):
         signs, present = _witness_signs(sys, masks[lo : lo + _CHUNK])
         mismatch = signs != present

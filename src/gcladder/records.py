@@ -8,8 +8,8 @@ survive JSON.  ``dumps`` produces byte-deterministic output.
 
 The library numbers edges band-major (see ``ladder``).  A record numbers
 them in the record order instead: horizontal edges first, then vertical,
-each block by head coordinate.  ``hex_mask`` writes a library mask in that
-order through the diagram's one bit map, ``LadderDiagram.record_position``,
+each block by head coordinate (``_record_key``).  ``_record_maps`` sorts a
+diagram's edges by it once; ``hex_mask`` writes a library mask in that order
 and ``face_from_record`` reads it back.  Face lists (``face_list_record``,
 ``gcladder faces``) go by increasing record mask.  Failure messages name an
 offending face by its index in library order, with its mask in record form.
@@ -60,6 +60,23 @@ def _moved(masks, moves):
     return out
 
 
+def _record_key(edge):
+    # Record order: horizontals sorted by head, then verticals likewise.
+    (ta, _), head = edge
+    return ta == head[0], head
+
+
+@functools.lru_cache(maxsize=None)
+def _record_maps(diagram):
+    """The two bit maps between the library and record orders, made once per
+    interned diagram: library edge e is record bit position[e], and record
+    bit i is library edge library[i].  Returns (position, library)."""
+    edges = diagram.edges
+    library = tuple(sorted(range(len(edges)), key=lambda e: _record_key(edges[e])))
+    position = tuple(sorted(range(len(edges)), key=library.__getitem__))
+    return position, library
+
+
 def _record_hex(diagram, record_mask):
     width = max(1, (diagram.num_edges + 3) // 4)
     return f"{record_mask:0{width}x}"
@@ -67,8 +84,10 @@ def _record_hex(diagram, record_mask):
 
 def hex_mask(diagram, mask):
     """A library face mask in the record order, as hexadecimal digits
-    zero-padded to the diagram's edges."""
-    return _record_hex(diagram, _moved(mask, diagram.record_position))
+    zero-padded to the diagram's edges.  Bits past the edges, which a
+    failure message may name, stay where they are."""
+    stray = mask & ~diagram.full_mask
+    return _record_hex(diagram, _moved(mask ^ stray, _record_maps(diagram)[0]) | stray)
 
 
 def _face_dict(diagram, edges_hex, dim):
@@ -85,14 +104,6 @@ def face_record(face):
     return _face_dict(face.diagram, hex_mask(face.diagram, face.mask), face.dim)
 
 
-@functools.lru_cache(maxsize=None)
-def _library_positions(diagram):
-    # The inverse of ``diagram.record_position``, made once per interned
-    # diagram: record bit i is library bit _library_positions(diagram)[i].
-    position = diagram.record_position
-    return tuple(sorted(range(len(position)), key=position.__getitem__))
-
-
 def face_from_record(record):
     if record.get("format") != FACE_FORMAT or record.get("version") != VERSION:
         raise ValueError(f"not a version-{VERSION} face record")
@@ -100,7 +111,7 @@ def face_from_record(record):
     record_mask = int(record["edges_hex"], 16)
     if record_mask >> diagram.num_edges:
         raise ValueError("edge subset uses bits outside the diagram")
-    face = DiagramFace(diagram, _moved(record_mask, _library_positions(diagram)))
+    face = DiagramFace(diagram, _moved(record_mask, _record_maps(diagram)[1]))
     # One recognizer pass per record: ``face_dimension`` checks the face
     # before it counts, and ``face.dim`` keeps the count.
     try:
@@ -119,7 +130,7 @@ def listed_faces(faces):
     mask: the order of ``face_list_record`` and ``gcladder faces``.  The
     faces are built ``FACE_CHUNK`` at a time."""
     diagram, masks, dims = faces.diagram, faces.masks, faces.dims
-    record_masks = _moved(masks, diagram.record_position)
+    record_masks = _moved(masks, _record_maps(diagram)[0])
     order = np.argsort(record_masks)
     for lo in range(0, len(order), FACE_CHUNK):
         at = order[lo : lo + FACE_CHUNK]

@@ -1,7 +1,9 @@
 import functools
+import json
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,17 @@ from gcladder.genfunc import (
 )
 from gcladder.ladder import compositions_of, face_census
 from gcladder.words import all_words, child_composition, interleave, word_weight
+
+EXPECTED_FVECTORS = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "fvectors.json"
+
+
+@pytest.fixture(scope="module")
+def expected_fvectors():
+    # the file is only read
+    entries = json.loads(EXPECTED_FVECTORS.read_text())["entries"]
+    assert len(entries) == 513
+    return entries
+
 
 compositions = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4).map(
     tuple
@@ -249,12 +262,31 @@ class TestFPolynomial:
         f_polynomial(comp)
         assert _f_polynomial_reduced.cache_info().misses == memo_entries(comp)
 
-    def test_leading_coefficient_and_degree(self):
-        for comp in [(1, 1, 1), (2, 2), (3, 1, 2)]:
-            poly = f_polynomial(comp)
-            assert poly.coeffs[-1] == 1
-            n = sum(comp)
-            assert poly.degree == (n * n - sum(p * p for p in comp)) // 2
+    # Every composition with n <= 9, and to n = 12 (the ``fvector`` bound)
+    # in CI, from one memo; the packed word counts reach their widest slots
+    # at n = 12 (s = 12 parts, 18 bits a weight).
+    @pytest.mark.parametrize(
+        "n", [*range(1, 10), *(pytest.param(n, marks=pytest.mark.ci) for n in (10, 11, 12))]
+    )
+    def test_leading_coefficient_and_degree(self, n):
+        for comp in compositions_of(n):
+            coeffs = f_polynomial(comp).coeffs
+            assert sum((-1) ** i * f for i, f in enumerate(coeffs)) == 1, comp
+            assert len(coeffs) - 1 == (n * n - sum(p * p for p in comp)) // 2, comp
+            assert coeffs[-1] == 1, comp
+
+    # The expected f-vectors of perfbench (every composition with n <= 9,
+    # and (10) and (11)), each from a cold memo: n <= 7 here, n = 8-11 in CI.
+    @pytest.mark.parametrize(
+        "n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.ci) for n in (8, 9, 10, 11))]
+    )
+    def test_cold_f_vectors_match_the_expected_file(self, n, expected_fvectors):
+        entries = [e for e in expected_fvectors if sum(e["composition"]) == n]
+        assert len(entries) == (2 ** (n - 1) if n <= 9 else 1)
+        for entry in entries:
+            clear_caches()  # each composition starts from an empty memo
+            got = f_vector(tuple(entry["composition"]))
+            assert got == tuple(int(c) for c in entry["coefficients"]), entry["composition"]
 
 
 class TestSeries:

@@ -1,6 +1,6 @@
 import functools
-import os
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -91,6 +91,16 @@ def test_degenerate_diagram():
         is_face(d, 1)
 
 
+def assert_record_order(d):
+    # Records number the edges horizontals sorted by head, then verticals
+    # sorted by head.
+    horiz = sorted((e for e in d.edges if e[1][0] == e[0][0] + 1), key=lambda e: e[1])
+    vert = sorted((e for e in d.edges if e[1][1] == e[0][1] + 1), key=lambda e: e[1])
+    assert len(horiz) + len(vert) == d.num_edges
+    for p, edge in enumerate(horiz + vert):
+        assert int(records.hex_mask(d, d.edge_bit(*edge)), 16) == 1 << p, (d, edge)
+
+
 def test_edge_order_canonical():
     for comp in [(1, 1), (2, 1), (1, 2, 1), (1, 1, 1, 1)]:
         d = build_diagram(comp)
@@ -98,23 +108,23 @@ def test_edge_order_canonical():
         # head, then horizontal before vertical, then by head.
         key = [(sum(head), head[0] == tail[0], head) for tail, head in d.edges]
         assert key == sorted(set(key)), comp
-        # Records number them horizontals sorted by head, then verticals
-        # sorted by head.
-        horiz = sorted((e for e in d.edges if e[1][0] == e[0][0] + 1), key=lambda e: e[1])
-        vert = sorted((e for e in d.edges if e[1][1] == e[0][1] + 1), key=lambda e: e[1])
-        assert len(horiz) + len(vert) == d.num_edges
-        for p, edge in enumerate(horiz + vert):
-            assert int(records.hex_mask(d, d.edge_bit(*edge)), 16) == 1 << p, (comp, edge)
+        assert_record_order(d)
+
+
+def ci_range(values, ids=None):
+    """Cases of a CI-range check: ``pytest -m ci`` runs them."""
+    ids = ids or [None] * len(values)
+    return [pytest.param(v, marks=pytest.mark.ci, id=i) for v, i in zip(values, ids)]
 
 
 # The diagram's orders are written directly; they are checked against their
-# sort specification on every composition with n <= DIAGRAM_MAX_N: 9 in
-# tier-1, and CI sets GCLADDER_DIAGRAM_MAX_N=12.
-DIAGRAM_MAX_N = int(os.environ.get("GCLADDER_DIAGRAM_MAX_N", "9"))
-
-
-@pytest.mark.parametrize("n", range(DIAGRAM_MAX_N + 1))
-def test_diagram_orders_match_their_sort_specification(n):
+# sort specification on every composition with n <= 9, and to n = 12 in CI.
+@pytest.mark.parametrize("n", [*range(10), *ci_range(range(10, 13))])
+def test_diagram_orders_match_their_sort_specification(n, monkeypatch):
+    # The record maps of the fresh diagrams are made one at a time.
+    monkeypatch.setattr(
+        records, "_record_maps", functools.lru_cache(maxsize=1)(records._record_maps.__wrapped__)
+    )
     for comp in compositions_of(n):
         d = ladder.LadderDiagram(comp)
         # the points weakly below-left of a terminal, and the unit steps
@@ -132,8 +142,7 @@ def test_diagram_orders_match_their_sort_specification(n):
         assert d.vertices == tuple(sorted(points, key=lambda v: (v[0] + v[1], v[0]))), comp
         assert set(d.edges) == steps and len(d.edges) == len(steps), comp
         assert list(d.edges) == sorted(d.edges, key=ladder._edge_key), comp
-        ranks = {e: i for i, e in enumerate(sorted(d.edges, key=ladder._record_key))}
-        assert d.record_position == tuple(ranks[e] for e in d.edges), comp
+        assert_record_order(d)
 
 
 # In the record order a gadget's bits fall between its child's bits, so for
@@ -143,10 +152,8 @@ def test_diagram_orders_match_their_sort_specification(n):
 def test_enumeration_refuses_edges_out_of_band_order(monkeypatch, comp):
     band_major_edges = ladder._band_major_edges
 
-    def record_ordered_edges(heights, bands):
-        edges, _ = band_major_edges(heights, bands)
-        edges.sort(key=ladder._record_key)
-        return edges, range(len(edges))
+    def record_ordered_edges(bands):
+        return sorted(band_major_edges(bands), key=records._record_key)
 
     monkeypatch.setattr(ladder, "_band_major_edges", record_ordered_edges)
     # Fresh memos for the patched numbering; the interned diagrams stay.
@@ -154,8 +161,11 @@ def test_enumeration_refuses_edges_out_of_band_order(monkeypatch, comp):
     monkeypatch.setattr(
         ladder, "_face_arrays", functools.lru_cache(ladder._face_arrays.__wrapped__)
     )
+    monkeypatch.setattr(
+        records, "_record_maps", functools.lru_cache(records._record_maps.__wrapped__)
+    )
     d = build_diagram(comp)
-    assert d.record_position == tuple(range(d.num_edges))
+    assert records._record_maps(d) == (tuple(range(d.num_edges)),) * 2
     with pytest.raises(AssertionError, match="out-of-order or duplicate masks"):
         enumerate_faces(d)
 
@@ -249,7 +259,14 @@ PAST_CLI_BOUND += [
 ]
 
 
-@pytest.mark.parametrize("comp", PAST_CLI_BOUND)
+# In CI, also the 11 compositions of 6 with 23-26 free edges: brute force
+# then covers 26 of the 32, mask for mask.
+PAST_CLI_BOUND_CI = [
+    c for c in compositions_of(6) if 22 < diagram_edge_count(c) - 12 <= MAX_FREE_EDGES
+]
+
+
+@pytest.mark.parametrize("comp", [*PAST_CLI_BOUND, *ci_range(PAST_CLI_BOUND_CI, ["-".join(map(str, c)) for c in PAST_CLI_BOUND_CI])])
 def test_brute_force_past_cli_bound(comp):
     d = build_diagram(comp)
     brute = brute_force_faces(d)
@@ -257,6 +274,9 @@ def test_brute_force_past_cli_bound(comp):
     assert np.array_equal(brute.masks, rec.masks)
     assert np.array_equal(brute.dims, rec.dims)
     assert brute.census() == {i: c for i, c in enumerate(f_vector(comp)) if c}
+    # reversal invariance without the memo, which shares one entry between a
+    # composition and its reverse
+    assert brute.census() == {i: c for i, c in enumerate(f_vector(comp[::-1])) if c}
 
 
 def _reference_gadget(d, w):
@@ -436,8 +456,8 @@ def test_gadget_mask_matches_edge_bits_and_raises_on_missing_edges():
 
 
 # The branch walk is compared with the per-word rule on every composition
-# with n <= BRANCH_MAX_N: 8 in tier-1, and CI sets GCLADDER_BRANCH_MAX_N=10.
-BRANCH_MAX_N = int(os.environ.get("GCLADDER_BRANCH_MAX_N", "8"))
+# with n <= 8, and to n = 10 in CI.
+BRANCH_RANGE = [*range(1, 9), *ci_range([9, 10])]
 
 
 def per_word_branches(d, comp, shift):
@@ -449,7 +469,7 @@ def per_word_branches(d, comp, shift):
     return children
 
 
-@pytest.mark.parametrize("n", range(1, BRANCH_MAX_N + 1))
+@pytest.mark.parametrize("n", BRANCH_RANGE)
 def test_branch_walk_matches_the_per_word_branch_rule(n):
     for comp in compositions_of(n):
         # in the diagram of comp itself, and inside the larger diagram of
@@ -611,8 +631,11 @@ def test_clear_caches_keeps_diagrams_interned():
 def test_brute_force_refuses_large_diagram():
     d = build_diagram((1,) * 6)
     assert d.num_edges - 2 * d.n == 30 > MAX_FREE_EDGES
+    start = time.perf_counter()
     with pytest.raises(ValueError, match=f"30 edges off the axes; brute force is capped at {MAX_FREE_EDGES}"):
         brute_force_faces(d)
+    # refused before any scan
+    assert time.perf_counter() - start < 1
 
 
 def test_brute_force_refuses_past_the_mask_width_before_scanning(monkeypatch):

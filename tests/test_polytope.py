@@ -15,6 +15,7 @@ from gcladder.ladder import (
     FaceSet,
     brute_force_faces,
     build_diagram,
+    compose_face,
     compositions_of,
     compositions_with_edge_bound,
     enumerate_faces,
@@ -38,6 +39,7 @@ from gcladder.polytope import (
     verify_isomorphism,
     witness_violations,
 )
+from gcladder.words import LETTERS, child_composition
 
 
 def halved_spectrum(comp):
@@ -61,6 +63,16 @@ def sixths_spectrum(comp):
 
 def compositions_up_to(n):
     return [comp for m in range(1, n + 1) for comp in compositions_of(m)]
+
+
+def composed_face(d, rng):
+    """A face of ``d`` composed down a chain of seeded words to a one-part
+    child, whose only face is its full diagram."""
+    if d.s == 1:
+        return DiagramFace(d, d.full_mask)
+    word = tuple(rng.choice(LETTERS) for _ in range(d.s - 1))
+    child = build_diagram(child_composition(d.composition, word))
+    return compose_face(d, word, composed_face(child, rng))
 
 
 def only_face(faces, k):
@@ -544,10 +556,10 @@ class TestRepresentativePoint:
         # (1, 1) of the top face moves onto its neighbour (1, 2), or past it.
         original = polytope._witness
 
-        def moved(sys, masks):
-            x, scale, present = original(sys, masks)
+        def moved(sys, present):
+            x, scale = original(sys, present)
             x[1, 1] = x[1, 2] + shift
-            return x, scale, present
+            return x, scale
 
         monkeypatch.setattr(polytope, "_witness", moved)
         faces = enumerate_faces(build_diagram((1, 1, 1)))
@@ -555,6 +567,23 @@ class TestRepresentativePoint:
         assert witness_violations(only_face(faces, top), Spectrum((2, 1, 0))) == [
             f"face #0 (0x{faces[top].mask:03x}): {violation}"
         ]
+
+    @pytest.mark.parametrize("comp", [(1,) * 8, (2, 2, 2, 2)])
+    def test_point_of_a_face_past_the_int64_masks(self, comp):
+        # 72 and 64 edges; one face down a seeded chain of words to a
+        # one-part child, and the full face
+        d = build_diagram(comp)
+        assert d.num_edges >= 64
+        sp = canonical_spectrum(comp)
+        sys = GCSystem(sp)
+        composed = composed_face(d, random.Random(8))
+        assert is_face(d, composed.mask) and composed.mask != d.full_mask
+        for face in (DiagramFace(d, d.full_mask), composed):
+            values = representative_point(face, sp)
+            point = tuple(values[p] for p in sys.index_set)
+            for con, bit in zip(sys.constraints, polytope.edge_bits(sys)):
+                value = con.value_at(point)
+                assert value >= 0 and (value > 0) == bool(face.mask & bit), (face, con)
 
     def test_integral_spectrum_gives_dyadic_coordinates(self):
         # repeated halving of integer boundary values
@@ -591,7 +620,11 @@ class TestWitnessCheck:
     @pytest.mark.parametrize(
         "name, old, new",
         [
-            ("_witness", "edge_bits(sys)", "edge_bits(sys)[sys.d:] + edge_bits(sys)[:sys.d]"),
+            (
+                "_witness_signs",
+                "edge_bits(sys)",
+                "edge_bits(sys)[sys.d:] + edge_bits(sys)[:sys.d]",
+            ),
             ("_witness", "above, below = ", "below, above = "),
             (
                 "_tight_dims",
@@ -656,6 +689,24 @@ class TestWitnessCheck:
         dims[100] += 1
         problems = witness_violations(FaceSet(faces.diagram, faces.masks, dims), canonical_spectrum(comp))
         assert len(problems) == 1 and problems[0].startswith("face #100 ")
+        # the order and bit checks go one chunk at a time too: a mask repeated
+        # across the boundary of chunks 1 and 2, and an axis edge dropped in
+        # chunk 4
+        masks = faces.masks.copy()
+        masks[14] = masks[13]
+        masks[30] ^= faces.diagram.axes_mask & -faces.diagram.axes_mask
+        assert witness_violations(FaceSet(faces.diagram, masks, faces.dims), canonical_spectrum(comp)) == [
+            "face #14 (0x2bfdb) does not follow a smaller mask",
+            "face #30 (0x1fff2) lacks an axis edge or has a bit past the edges",
+        ]
+        # a bit past the edges (which also puts face #30 above #31) is named
+        # with the face's other bits moved
+        masks = faces.masks.copy()
+        masks[30] |= 1 << faces.diagram.num_edges
+        assert witness_violations(FaceSet(faces.diagram, masks, faces.dims), canonical_spectrum(comp)) == [
+            "face #31 (0x1bff7) does not follow a smaller mask",
+            "face #30 (0x11fff3) lacks an axis edge or has a bit past the edges",
+        ]
 
     def test_refuses_spectra_that_overflow(self):
         d = build_diagram((1, 1))

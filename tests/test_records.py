@@ -55,7 +55,7 @@ def test_moved_int_matches_the_array_path(comp):
         for size in range(d.num_edges + 1)
         for _ in range(3)
     ]
-    for moves in (d.record_position, records._library_positions(d)):
+    for moves in records._record_maps(d):
         by_array = records._moved(np.array(masks, dtype=np.int64), moves).tolist()
         assert [records._moved(m, moves) for m in masks] == by_array
 

@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 from itertools import product
 from math import comb
@@ -31,9 +30,9 @@ from gcladder.ladder import compositions_of
 
 SMALL_COMPOSITIONS = [c for n in range(1, 8) for c in compositions_of(n)]
 # The branch walk is compared with the per-word rule on every composition
-# with n <= BRANCH_MAX_N: 8 in tier-1, and CI sets GCLADDER_BRANCH_MAX_N=10
-# (as for the enumerator's walk in test_ladder.py).
-BRANCH_MAX_N = int(os.environ.get("GCLADDER_BRANCH_MAX_N", "8"))
+# with n <= 8, and to n = 10 in CI (as for the enumerator's walk in
+# test_ladder.py).
+BRANCH_RANGE = [*range(1, 9), *(pytest.param(n, marks=pytest.mark.ci) for n in (9, 10))]
 
 
 def test_letter_values():
@@ -149,7 +148,7 @@ def _unpack(packed, slot):
     return [packed >> i & (1 << slot) - 1 for i in range(0, packed.bit_length(), slot)]
 
 
-@pytest.mark.parametrize("n", range(1, BRANCH_MAX_N + 1))
+@pytest.mark.parametrize("n", BRANCH_RANGE)
 def test_child_groups_merge_the_words(n):
     for comp in compositions_of(n):
         want = Counter(
@@ -180,7 +179,7 @@ def _append_letter(table, key, words, letter):
     table.setdefault(key, []).extend([w + (letter,) for w in words] if letter else words)
 
 
-@pytest.mark.parametrize("n", range(1, BRANCH_MAX_N + 1))
+@pytest.mark.parametrize("n", BRANCH_RANGE)
 def test_branch_walk_groups_the_words_by_child(n):
     for comp in compositions_of(n):
         letters = {letter: letter for letter in LETTERS}
