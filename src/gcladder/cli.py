@@ -50,9 +50,10 @@ PDE_S_RANGE = (1, 2, 3)
 # Largest --s and --degree that `verify pde`, `gkt` and `all` accept.  The
 # series inputs are compositions with n <= degree, so the degree bound is
 # the fvector bound.  On a 2-core Xeon the slowest accepted check,
-# `verify pde --s 5 --degree 12`, takes about 2 s (the word-action check of
-# `verify all --degree 12` about 0.02 s); s = 6 takes about 5 s at degree
-# 12, and each further unit of degree costs about 2-3x more.
+# `verify pde --s 5 --degree 12`, takes about 1.4-1.8 s in a fresh process
+# (the word-action check of `verify all --degree 12` about 3-6 ms in
+# process); s = 6 takes about 3.4 s at degree 12 in process, and each
+# further unit of degree costs about 2-3x more.
 MAX_PDE_S = 5
 MAX_PDE_DEGREE = MAX_FVECTOR_N
 # Smallest --degree that `verify all` accepts: every word of its s = 3

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import factorial, lcm, prod
 from operator import add, and_, ne, or_, sub
 
@@ -373,7 +373,9 @@ class DiffOperator:
         exponent k (zero at ``zero_vars``, total within the validity
         degree) takes from each operator monomial c t^p d^o exactly
         c t^p ``exp_coefficient(k + o)``, then one division by k!.  Only
-        the inputs so named are looked up.
+        the inputs so named are looked up, each once per call: the
+        coefficients ``exp_coefficient`` returned are kept by exponent
+        vector until the call ends.
         """
         m = self.order
         if m > degree:
@@ -390,6 +392,7 @@ class DiffOperator:
         if not zero <= set(range(self.num_vars)):
             raise ValueError(f"variable indices {sorted(zero)} out of range")
         keep = [i for i in range(self.num_vars) if i not in zero]
+        looked_up = {}
         terms = {}
         for kept in bounded_exponents(len(keep), validity):
             target = [0] * self.num_vars
@@ -397,12 +400,16 @@ class DiffOperator:
                 target[i] = e
             acc = []
             for t_pow, orders, c in monomials:
-                coeffs = exp_coefficient(tuple(map(add, target, orders))).coeffs
+                source = tuple(map(add, target, orders))
+                coeffs = looked_up.get(source)
+                if coeffs is None:
+                    coeffs = looked_up[source] = exp_coefficient(source).coeffs
                 if len(acc) < t_pow + len(coeffs):
                     acc.extend([0] * (t_pow + len(coeffs) - len(acc)))
                 for j, a in enumerate(coeffs, t_pow):
                     acc[j] += c * a
-            terms[kept] = TPoly(acc) * Fraction(1, denom * prod(map(factorial, kept)))
+            if any(acc):  # a zero sum is no term of the series
+                terms[kept] = TPoly(acc) * Fraction(1, denom * prod(map(factorial, kept)))
         return TruncatedSeries(len(keep), validity, terms)
 
 
@@ -524,14 +531,46 @@ def verify_vertex_pde(s, degree):
     )
 
 
+# Entries of each temporary array in the identity checks below: they run on
+# a block of words at once, as many words as fit beside their grid of
+# values, and at least one.
+BLOCK_ENTRIES = 1 << 15
+
+
+def _word_blocks(length, width, dtype):
+    """The words of the given length in canonical order, in blocks of at
+    most max(1, BLOCK_ENTRIES // width).  Yields (words, letters): the
+    block's words, and one (alpha, beta) pair of flag columns of ``dtype``
+    per letter, each shaped (len(words), 1), so the transforms broadcast
+    them against a row of ``width`` values."""
+    words = list(all_words(length))
+    size = max(1, BLOCK_ENTRIES // width)
+    for start in range(0, len(words), size):
+        block = words[start : start + size]
+        flags = np.array(block, dtype=dtype).reshape(len(block), length, 2)
+        yield block, tuple((flags[:, i, 0:1], flags[:, i, 1:2]) for i in range(length))
+
+
+def _failures(wrong, block, rows):
+    """(word, row as a list) for each entry set in ``wrong``, an array of
+    one row per word of ``block`` and one column per row of ``rows``, word
+    by word, then in the order of ``rows``."""
+    if not wrong.any():
+        return ()
+    which, at = np.nonzero(wrong)
+    return zip([block[i] for i in which.tolist()], rows[at].tolist())
+
+
 def word_action_closed_form(k, e, w):
     """Closed form for a word operator acting on x^k y^e/(k! e!), after y = 0:
     the single term t^|w| x^d/d! with d = d_transform(k, w), present when e
     marks the BOTH positions of w and d is non-negative.
 
     Returns (present, d, |w|).  ``k`` and ``e`` hold one int per variable,
-    or one integer column per variable, and then ``present`` and ``d`` are
-    columns too.
+    or one integer row per variable, and then ``present`` and ``d`` are
+    arrays too.  ``w`` may likewise hold flag columns, one word per entry
+    (``_word_blocks``), and then |w| is a column and the arrays have one
+    row per word.
     """
     d = d_transform(k, w)
     checks = [x >= 0 for x in d] + [a == b for a, b in zip(e, word_tilde(w))]
@@ -547,59 +586,75 @@ def check_word_action(s, max_degree):
     A word operator is one monomial c t^p d^o, so on x^K/K! it gives the
     single term c t^p x^(K-o)/(K-o)! when K >= o and zero otherwise; the
     y = 0 restriction keeps that term only when its y exponents vanish.
-    Each word is checked on all monomials at once: the exponents are one
-    integer column per variable, and ``word_action_closed_form`` takes the
-    columns.  The two sides agree when their validity degrees (total less
-    o, total less |w|) and their presence agree and, where both are
-    present, their exponents, their powers of t and the coefficients c and
-    1 do.  Monomials of total below o are skipped.
+    The check runs on a block of words and all monomials at once: the
+    exponents are one integer row per variable, each word operator's p, o
+    and c a column over the block (``word_operator`` is still built per
+    word), and ``word_action_closed_form`` takes the block's flag columns.
+    The two sides agree when their validity degrees (total less o, total
+    less |w|) and their presence agree and, where both are present, their
+    exponents, their powers of t and the coefficients c and 1 do.
+    Monomials of total below o are skipped.
     """
-    rows = np.array(bounded_exponents(2 * s - 1, max_degree), dtype=np.int64)
+    # values run from -2 to max_degree + 2, orders and powers of t to s - 1
+    dtype = np.min_scalar_type(-(max(max_degree, s) + 3))
+    rows = np.fromiter(chain.from_iterable(bounded_exponents(2 * s - 1, max_degree)), dtype)
     rows = rows.reshape(-1, 2 * s - 1)
-    k, e = tuple(rows[:, :s].T), tuple(rows[:, s:].T)
+    k, e = tuple(rows[:, None, :s].T), tuple(rows[:, None, s:].T)
     exps = interleave(k, e)
-    total = rows.sum(axis=1)
+    total = rows.sum(axis=1, dtype=dtype)
     bad = []
-    for w in all_words(s - 1):
-        [((t_pow, orders), c)] = word_operator(s, w).terms.items()
+    for block, w in _word_blocks(s - 1, len(rows), dtype):
+        columns = []
+        for v in block:
+            [((t_pow, orders), c)] = word_operator(s, v).terms.items()
+            columns.append((t_pow, c != 1, *orders))
+        t_pow, off, *orders = np.array(columns, dtype=dtype).T[:, :, None]
         order = sum(orders)
         out = tuple(map(sub, exps, orders))
         # interleaved layout: x exponents at even positions, y at odd
         checks = [x >= 0 for x in out] + [y == 0 for y in out[1::2]]
         kept = functools.reduce(and_, checks)
         present, d, p = word_action_closed_form(k, e, w)
-        differ = functools.reduce(or_, map(ne, out[::2], d), (t_pow != p) | (c != 1))
+        differ = functools.reduce(or_, map(ne, out[::2], d), (t_pow != p) | (off != 0))
         wrong = (total >= order) & (
             (order != len(w)) | (kept != present) | (kept & present & differ)
         )
-        bad.extend((w, tuple(row[:s]), tuple(row[s:])) for row in rows[wrong].tolist())
+        bad.extend((v, tuple(row[:s]), tuple(row[s:])) for v, row in _failures(wrong, block, rows))
     return bad
 
 
 def check_operator_expansion(s):
-    """The sum of all word operators equals the expanded interaction product."""
-    total = DiffOperator(2 * s - 1)
+    """The sum of all word operators equals the expanded interaction product.
+
+    The word operators' monomials are added into one table, and one
+    operator is built from it.
+    """
+    terms = {}
     for w in all_words(s - 1):
-        total = total + word_operator(s, w)
-    return total == interaction_product(s)
+        for key, c in word_operator(s, w).terms.items():
+            terms[key] = terms.get(key, 0) + c
+    return DiffOperator(2 * s - 1, terms) == interaction_product(s)
 
 
 def check_transform_round_trip(max_s, max_part):
     """r_w(d_w(k) + 1) == k for every word and every k with bounded parts.
 
-    Each transform runs once per word on the whole grid of k, passed as one
-    integer column per part; failures come back in word-then-k order.  The
-    values run from -2 to max_part + 2, so the grid takes the smallest
-    signed dtype that holds -(max_part + 3): the work goes with the bytes.
+    The transforms run once per block of words (``_word_blocks``) on the
+    whole grid of k: k is one integer row per part and the block's words
+    are flag columns, so each temporary holds at most ``BLOCK_ENTRIES``
+    values, or one word's grid where that is larger.  Failures come back
+    word by word, then k in lexicographic order.  The values run from -2 to
+    max_part + 2, so the grid and the flags take the smallest signed dtype
+    that holds -(max_part + 3): the work goes with the bytes.
     """
     dtype = np.min_scalar_type(-(max_part + 3))
     bad = []
     for s in range(1, max_s + 1):
         grid = np.indices((max_part + 1,) * s, dtype=dtype).reshape(s, -1)
-        k = tuple(grid)
-        for w in all_words(s - 1):
+        k = tuple(grid[:, None])
+        for block, w in _word_blocks(s - 1, grid.shape[1], dtype):
             d = d_transform(k, w)
             back = r_transform(tuple(x + 1 for x in d), w)
-            wrong = np.logical_or.reduce([b != a for a, b in zip(k, back)])
-            bad.extend((s, w, tuple(row)) for row in grid.T[wrong].tolist())
+            wrong = functools.reduce(or_, map(ne, back, k))
+            bad.extend((s, v, tuple(row)) for v, row in _failures(wrong, block, grid.T))
     return bad

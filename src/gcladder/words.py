@@ -5,6 +5,11 @@ diagram, which of its two incoming edges a face uses: the horizontal one,
 the vertical one, or both.  Words of length s-1 index the branches of the
 face recursion for a composition with s parts; the transforms below map a
 parent composition to the child composition of each branch.
+
+``r_transform``, ``d_transform``, ``word_weight`` and ``word_tilde`` use
+only arithmetic on the parts and the flags, so a part may be an integer
+array and a flag an integer column, one word per row: they then act on a
+block of words and a grid of parts at once, by broadcasting.
 """
 
 import functools
@@ -21,10 +26,10 @@ LETTERS = (RIGHT, UP, BOTH)
 
 def reduce_composition(k):
     """Strip zero parts, keeping order.  Rejects negative parts."""
-    parts = tuple(int(p) for p in k)
-    if any(p < 0 for p in parts):
+    parts = tuple(map(int, k))
+    if min(parts, default=0) < 0:
         raise ValueError(f"composition parts must be non-negative, got {parts}")
-    return tuple(p for p in parts if p > 0)
+    return tuple(filter(None, parts))
 
 
 def all_words(length):

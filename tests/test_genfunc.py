@@ -1,8 +1,11 @@
 import functools
 import json
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from operator import and_
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,7 @@ from gcladder.genfunc import (
     word_operator,
 )
 from gcladder.ladder import compositions_of, face_census
-from gcladder.words import all_words, child_composition, interleave, word_weight
+from gcladder.words import BOTH, RIGHT, all_words, child_composition, interleave, word_weight
 
 EXPECTED_FVECTORS = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "fvectors.json"
 
@@ -501,6 +504,20 @@ class TestPde:
                 if broken is None or degree == 6:
                     assert want.passed == (broken is None)
 
+    def test_each_input_is_looked_up_once(self, monkeypatch):
+        # pde_operator(3) at degree 8: 56 targets x 10 monomials, 335
+        # distinct exponent vectors
+        calls = Counter()
+
+        def counting(k, true=genfunc.f_polynomial):
+            calls[k] += 1
+            return true(k)
+
+        monkeypatch.setattr(genfunc, "f_polynomial", counting)
+        report = verify_generating_pde(3, 8)
+        assert sum(calls.values()) == len(calls) == 335
+        assert report == dense_generating_report(3, 8) and report.passed
+
     def test_wrong_operator_reports_residual(self):
         # dropping the interaction product must leave a nonzero residual
         series = fpolynomial_egf(3, 4)
@@ -544,6 +561,38 @@ def test_word_action_matches_dense(s, degree, monkeypatch):
         assert all(blamed(w, k) for w, k, _ in bad)
 
 
+@pytest.mark.parametrize("s, degree, index", [(3, 6, 7), (4, 4, 20)], ids=["(3,6)", "(4,4)"])
+def test_word_action_reports_like_a_per_word_scan_across_blocks(s, degree, index, monkeypatch):
+    # blocks of two words, and a closed form one power of t off for one
+    # word past the first block, wherever k_1 = 1
+    monkeypatch.setattr(genfunc, "BLOCK_ENTRIES", 2 * len(bounded_exponents(2 * s - 1, degree)))
+    target = list(all_words(s - 1))[index]
+    true = genfunc.word_action_closed_form
+
+    def broken(k, e, w):
+        present, d, t_pow = true(k, e, w)
+        return present, d, t_pow + same_word(w, target) * (k[0] == 1)
+
+    monkeypatch.setattr(genfunc, "word_action_closed_form", broken)
+    bad = check_word_action(s, degree)
+    assert bad and bad == dense_word_action(s, degree)
+    assert {w for w, _, _ in bad} == {target}
+
+
+def test_word_action_past_int8(monkeypatch):
+    # exponents reach 130, past int8: the rows must take a wider dtype for
+    # the fault at x^129 to show
+    assert check_word_action(1, 130) == []
+    true = genfunc.word_action_closed_form
+
+    def off_in_t(k, e, w):
+        present, d, t_pow = true(k, e, w)
+        return present, d, t_pow + (k[0] == 129)
+
+    monkeypatch.setattr(genfunc, "word_action_closed_form", off_in_t)
+    assert check_word_action(1, 130) == [((), (129,), ())]
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_word_action_closed_form_on_columns(s):
     # the closed form on integer columns equals it on each monomial
@@ -561,21 +610,65 @@ def test_transform_round_trip_check():
     assert check_transform_round_trip(4, 3) == []
 
 
+@pytest.mark.ci
+def test_transform_round_trip_check_to_s6():
+    # 243 words x 15,625 values of k at s = 6, two words a block
+    assert check_transform_round_trip(6, 4) == []
+
+
+def test_transform_round_trip_peak_memory():
+    # 81 words x 3,125 values of k at s = 5, in blocks of BLOCK_ENTRIES
+    # values; all 81 words at once would peak at about 4 MB
+    tracemalloc.start()
+    try:
+        assert check_transform_round_trip(5, 4) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def same_word(w, target):
+    """Whether w is ``target``: a bool for a word of ints, a column for a
+    block of words as flag columns (``genfunc._word_blocks``)."""
+    if len(w) != len(target):
+        return False
+    return functools.reduce(and_, [(a == x) & (b == y) for (a, b), (x, y) in zip(w, target)], True)
+
+
+def per_k_round_trip_scan(d_transform, max_s, max_part):
+    """Reference for ``check_transform_round_trip``: one word and one k at a time."""
+    return [
+        (s, w, k)
+        for s in range(1, max_s + 1)
+        for w in all_words(s - 1)
+        for k in product(range(max_part + 1), repeat=s)
+        if words.r_transform(tuple(x + 1 for x in d_transform(k, w)), w) != k
+    ]
+
+
 def test_transform_round_trip_reports_like_a_per_k_scan(monkeypatch):
     # a d_transform that is wrong wherever k_1 = 2, on tuples and on columns
     def broken(k, w):
         return tuple(x + (i == 0) * (k[0] == 2) for i, x in enumerate(words.d_transform(k, w)))
 
     monkeypatch.setattr(genfunc, "d_transform", broken)
-    want = [
-        (s, w, k)
-        for s in range(1, 4)
-        for w in all_words(s - 1)
-        for k in product(range(4), repeat=s)
-        if words.r_transform(tuple(x + 1 for x in broken(k, w)), w) != k
-    ]
+    want = per_k_round_trip_scan(broken, 3, 3)
     assert len(want) == sum(3 ** (s - 1) * 4 ** (s - 1) for s in range(1, 4))
     assert check_transform_round_trip(3, 3) == want
+
+    # up to s = 5, wrong for one word only, in a block after the first
+    target = (BOTH, RIGHT, BOTH, RIGHT)
+    assert list(all_words(4)).index(target) >= genfunc.BLOCK_ENTRIES // 4**5
+
+    def broken_word(k, w):
+        wrong = same_word(w, target) * (k[-1] == 1)
+        return tuple(x + (i == 1) * wrong for i, x in enumerate(words.d_transform(k, w)))
+
+    monkeypatch.setattr(genfunc, "d_transform", broken_word)
+    want = per_k_round_trip_scan(broken_word, 5, 3)
+    assert len(want) == 4**4 and {w for _, w, _ in want} == {target}
+    assert check_transform_round_trip(5, 3) == want
 
 
 def test_transform_round_trip_past_int8(monkeypatch):

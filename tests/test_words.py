@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,6 +51,15 @@ def test_reduce_composition():
     assert reduce_composition(()) == ()
     with pytest.raises(ValueError):
         reduce_composition((1, -1))
+
+
+def test_reduce_composition_parts_and_message():
+    # any iterable of integers; parts come back as Python ints
+    got = reduce_composition(iter(np.array([0, 3, 0, 1], dtype=np.int8)))
+    assert got == (3, 1) and all(type(p) is int for p in got)
+    message = r"^composition parts must be non-negative, got \(0, 2, -1\)$"
+    with pytest.raises(ValueError, match=message):
+        reduce_composition((0, 2, -1))
 
 
 def test_transforms_on_pair():
